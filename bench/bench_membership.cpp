@@ -64,7 +64,6 @@ void worker(Managed& m, std::uint64_t sessions, std::uint64_t ops,
         buf[0] += 1;
         if (sess.sc(buf.data())) break;
       }
-      sess.beat();
     }
     if (abandon_every != 0 && !sess.degraded() &&
         (s + thread_seed) % abandon_every == 0) {
@@ -79,11 +78,10 @@ ChurnResult run_scenario(Managed& m, unsigned threads,
                          std::uint64_t ops_per_session,
                          std::uint64_t abandon_every) {
   std::atomic<bool> done{false};
-  // Orphan-only sweeps while the workers churn: recycles abandoned slots
-  // without heartbeat condemnation (every worker is genuinely live).
+  // Reclaim sweeps while the workers churn: recycles abandoned slots.
   std::thread reaper([&] {
     while (!done.load(std::memory_order_acquire)) {
-      m.reclaim_scan(/*include_stale=*/false);
+      m.reclaim_scan();
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
@@ -98,7 +96,7 @@ ChurnResult run_scenario(Managed& m, unsigned threads,
   const auto t1 = std::chrono::steady_clock::now();
   done.store(true, std::memory_order_release);
   reaper.join();
-  m.reclaim_scan(/*include_stale=*/false);  // settle the last abandons
+  m.reclaim_scan();  // settle the last abandons
 
   ChurnResult r;
   r.seconds = std::chrono::duration<double>(t1 - t0).count();

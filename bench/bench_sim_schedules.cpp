@@ -1,38 +1,45 @@
 // E9 — Wait-freedom step bounds under adversarial schedules (Theorem 1),
-// measured in the deterministic simulator.
+// measured in the deterministic simulator on the shipped objects
+// (core::MwLLSC, baseline::AmLLSC, baseline::RetryLLSC over sim::Memory),
+// where one step is one shared-memory access.
 //
 // For the paper's algorithm (jp), the AM baseline and the retry strawman,
 // runs seeded-random and anti-adversarial schedules and reports the MAXIMUM
-// steps any single LL took. jp now implements the paper's full protocol:
-// its worst LL must stay within the 4W+12 bound of Theorem 1, independent
-// of N. am stays under its O(N·W) announce/help bound; retry's worst LL
-// grows with however long the adversary cares to run — the observable
-// difference between wait-free and merely lock-free. Any cell where a
-// measured worst case exceeds its claimed bound is flagged in the status
-// column and makes the driver exit nonzero (so --smoke gates CI).
+// steps any single LL took. jp's worst LL must stay within the 4W+12 bound
+// of Theorem 1, independent of N (its implementation's worst case is
+// 2W+4). am stays under its O(N·W) announce/help bound (N+3)(W+3)+2W+4;
+// retry's worst LL grows with however long the adversary cares to run —
+// the observable difference between wait-free and merely lock-free. Both
+// bounds live next to their protocols (ll_step_bound). Any cell where a
+// measured worst case exceeds its bound is flagged in the status column
+// and makes E9 exit nonzero (so --smoke gates CI).
 //
-// Every jp run executes under JpInvariantChecker (I1 buffer ownership, I2
-// bank writes, sequential-spec linearizability oracle); any violation makes
-// the driver exit nonzero, so this doubles as a verification pass.
+// Every jp run executes under JpChecker (I1 buffer ownership, I2 bank
+// writes, 4W+12, sequential-spec linearizability oracle) and every am and
+// retry run under the oracle; any violation makes E9 exit nonzero,
+// so this doubles as a verification pass.
 //
 // Also reports simulator throughput (steps/second) and CHESS coverage
 // (schedules/second), characterizing the verification substrate itself.
 //
-// Run: ./bench_sim_schedules [--smoke] [--metrics PATH]
+// Run: ./bench_sim_schedules [--smoke] [--metrics PATH] [--trace PATH]
 //   --smoke: reduced grid and run lengths for CI smoke testing.
-//   --metrics: export worst/bound cells as gauges. --trace is accepted but
-//   yields an empty trace: the simulator steps hand-written step machines,
-//   not the real (instrumented) protocol objects.
+//   --metrics: export worst/bound cells as gauges.
+//   --trace: the protocol events of the random-schedule characterization
+//   run (a build with MWLLSC_TRACE), checkable by trace_check.
 //
 // Repro modes (every invariant-violation message embeds the knobs these
 // take — "sched-seed=S" / "churn-seed=S" and "schedule=..."):
-//   --seed S   [--n N] [--w W] [--ops K] [--wl-seed S2]
-//       re-run the single failing random schedule seed on the jp system
+//   --seed S   [--n N] [--w W] [--ops K] [--wl-seed S2] [--vl P]
+//       re-run the single failing random schedule seed on the jp object
 //       under the full checker and exit (0 clean / 1 violation).
 //   --replay "0,1,c0,r0,1,..."  [--n N] [--w W] [--ops K] [--wl-seed S2]
+//                               [--vl P]
 //       token-for-token re-execution of a recorded schedule ("P" = step,
-//       "cP" = crash, "rP" = reclaim); N/W/ops/wl-seed must match the
-//       failing run or the replay reports the divergence.
+//       "cP" = crash, "rP" = reclaim, "bP" = rebind); N/W/ops/wl-seed/vl
+//       must match the failing run or the replay reports the divergence.
+//       The exhaustive searches in test_sim/test_sim_crash run with
+//       --ops 2 --wl-seed 3 --vl 50.
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -43,9 +50,6 @@
 #include "bench_common.hpp"
 #include "sim/harness.hpp"
 #include "sim/invariants.hpp"
-#include "sim/sim_am.hpp"
-#include "sim/sim_jp.hpp"
-#include "sim/sim_retry.hpp"
 #include "util/table.hpp"
 #include "util/timing.hpp"
 
@@ -57,14 +61,6 @@ namespace {
 
 bool g_all_ok = true;
 
-std::vector<std::uint64_t> init_value(std::uint32_t w) {
-  return std::vector<std::uint64_t>(w, 1);
-}
-
-// sim::make_checker gives jp runs the full invariant checker (constructed
-// from the workload's own system, AFTER the move — never from the
-// moved-from shell) and the unmodeled baselines a NullChecker.
-
 void note(const RunResult& r, const char* what) {
   if (!r.ok) {
     std::fprintf(stderr, "INVARIANT FAILURE (%s schedule): %s\n", what,
@@ -73,7 +69,7 @@ void note(const RunResult& r, const char* what) {
   }
 }
 
-template <typename System>
+template <typename Object>
 std::uint32_t worst_ll_random(std::uint32_t n, std::uint32_t w,
                               std::uint32_t seeds) {
   std::uint32_t worst = 0;
@@ -81,8 +77,8 @@ std::uint32_t worst_ll_random(std::uint32_t n, std::uint32_t w,
     WorkloadConfig cfg;
     cfg.ops_per_proc = 300;
     cfg.seed = s;
-    SimWorkload<System> wl(System(n, w, init_value(w)), cfg);
-    auto chk = make_checker(wl.system());
+    SimWorkload<Object> wl(n, w, cfg);
+    CheckerOf<Object> chk(wl);
     const RunResult r = run_random(wl, chk, s * 7919);
     note(r, "random");
     worst = std::max(worst, r.max_ll_steps);
@@ -90,7 +86,7 @@ std::uint32_t worst_ll_random(std::uint32_t n, std::uint32_t w,
   return worst;
 }
 
-template <typename System>
+template <typename Object>
 std::uint32_t worst_ll_adversarial(std::uint32_t n, std::uint32_t w,
                                    std::uint64_t max_steps) {
   std::uint32_t worst = 0;
@@ -98,15 +94,15 @@ std::uint32_t worst_ll_adversarial(std::uint32_t n, std::uint32_t w,
     WorkloadConfig cfg;
     cfg.ops_per_proc = 1000000;  // effectively unbounded within max_steps
     cfg.vl_percent = 0;
-    SimWorkload<System> wl(System(n, w, init_value(w)), cfg);
-    auto chk = make_checker(wl.system());
+    SimWorkload<Object> wl(n, w, cfg);
+    CheckerOf<Object> chk(wl);
     const RunResult r =
         run_adversarial_anti(wl, chk, victim, w + 8, max_steps);
     note(r, "adversarial");
     worst = std::max(worst, wl.max_ll_steps());
     // For a starved in-flight LL the completed-op maximum understates the
     // damage; count the stuck operation too.
-    worst = std::max(worst, wl.system().steps_in_flight(victim));
+    worst = std::max(worst, wl.steps_in_flight(victim));
   }
   return worst;
 }
@@ -127,8 +123,9 @@ int run_repro(int argc, char** argv) {
   WorkloadConfig cfg;
   cfg.ops_per_proc = u32("--ops", 300);
   cfg.seed = u32("--wl-seed", 1);
-  SimWorkload<SimJpSystem> wl(SimJpSystem(n, w, init_value(w)), cfg);
-  JpInvariantChecker chk(wl.system());
+  cfg.vl_percent = u32("--vl", cfg.vl_percent);
+  SimWorkload<Jp> wl(n, w, cfg);
+  JpChecker chk(wl);
   RunResult r;
   if (!replay.empty()) {
     std::printf("replaying %zu schedule chars on jp N=%u W=%u ops=%u\n",
@@ -147,7 +144,7 @@ int run_repro(int argc, char** argv) {
   }
   std::printf("clean: %llu steps, worst LL %u steps (bound %u)\n",
               static_cast<unsigned long long>(r.total_steps),
-              r.max_ll_steps, SimJpSystem::ll_step_bound(n, w));
+              r.max_ll_steps, Jp::ll_step_bound(n, w));
   return 0;
 }
 
@@ -159,12 +156,13 @@ int main(int argc, char** argv) {
     return run_repro(argc, argv);
   }
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
-  bench::ObsSession obs(argc, argv, 1);
+  bench::ObsSession obs(argc, argv, 3);
   const std::uint32_t seeds = smoke ? 4 : 10;
   const std::uint64_t max_steps = smoke ? 30000 : 300000;
 
   std::printf(
       "E9: worst-case LL steps under adversarial schedules (simulator)%s\n"
+      "steps are shared-memory accesses of the shipped objects;\n"
       "jp implements the paper's full protocol: bound 4W+12 (Theorem 1);\n"
       "am keeps the announce/help O(N*W) bound (N+3)(W+3)+2W+4;\n"
       "retry has no bound — its starved column grows with the run length\n\n",
@@ -178,18 +176,16 @@ int main(int argc, char** argv) {
             : std::vector<std::pair<std::uint32_t, std::uint32_t>>{
                   {2, 4}, {3, 4}, {3, 16}, {4, 8}, {8, 8}};
   for (const auto& [n, w] : grid) {
-    const std::uint32_t r_rand_jp = worst_ll_random<SimJpSystem>(n, w, seeds);
-    const std::uint32_t r_rand_am = worst_ll_random<SimAmSystem>(n, w, seeds);
-    const std::uint32_t adv_jp =
-        worst_ll_adversarial<SimJpSystem>(n, w, max_steps);
-    const std::uint32_t adv_am =
-        worst_ll_adversarial<SimAmSystem>(n, w, max_steps);
+    const std::uint32_t r_rand_jp = worst_ll_random<Jp>(n, w, seeds);
+    const std::uint32_t r_rand_am = worst_ll_random<Am>(n, w, seeds);
+    const std::uint32_t adv_jp = worst_ll_adversarial<Jp>(n, w, max_steps);
+    const std::uint32_t adv_am = worst_ll_adversarial<Am>(n, w, max_steps);
     const std::uint32_t adv_rt =
-        worst_ll_adversarial<SimRetrySystem>(n, w, max_steps);
+        worst_ll_adversarial<Retry>(n, w, max_steps);
     const std::uint32_t jp_worst = std::max(r_rand_jp, adv_jp);
     const std::uint32_t am_worst = std::max(r_rand_am, adv_am);
-    const std::uint32_t jp_bound = SimJpSystem::ll_step_bound(n, w);
-    const std::uint32_t am_bound = SimAmSystem::ll_step_bound(n, w);
+    const std::uint32_t jp_bound = Jp::ll_step_bound(n, w);
+    const std::uint32_t am_bound = Am::ll_step_bound(n, w);
     const std::string cell =
         "n=\"" + std::to_string(n) + "\",w=\"" + std::to_string(w) + "\"";
     obs.registry().set_gauge(
@@ -228,8 +224,9 @@ int main(int argc, char** argv) {
     std::printf("\nsimulator characterization:\n");
     WorkloadConfig cfg;
     cfg.ops_per_proc = smoke ? 4000 : 20000;
-    SimWorkload<SimJpSystem> wl(SimJpSystem(3, 4, init_value(4)), cfg);
-    JpInvariantChecker chk(wl.system());
+    SimWorkload<Jp> wl(3, 4, cfg);
+    obs.bind_obj(wl.object(), "jp w=4 n=3 (simulated)");
+    JpChecker chk(wl);
     util::Stopwatch sw;
     const RunResult r = run_random(wl, chk, 1);
     note(r, "characterization random");
@@ -243,11 +240,9 @@ int main(int argc, char** argv) {
   {
     WorkloadConfig cfg;
     cfg.ops_per_proc = 2;
-    SimWorkload<SimJpSystem> wl(SimJpSystem(2, 2, init_value(2)), cfg);
-    JpInvariantChecker chk(wl.system());
     util::Stopwatch sw;
     const EnumerateResult r =
-        enumerate_preemption_bounded(wl, chk, 2, 100000);
+        enumerate_preemption_bounded<Jp, JpChecker>(2, 2, cfg, 2, 100000);
     if (!r.ok) {
       std::fprintf(stderr, "INVARIANT FAILURE (CHESS search): %s\n",
                    r.error.c_str());
@@ -266,8 +261,8 @@ int main(int argc, char** argv) {
     // I1/I2 exact throughout.
     WorkloadConfig cfg;
     cfg.ops_per_proc = smoke ? 2000 : 10000;
-    SimWorkload<SimJpSystem> wl(SimJpSystem(3, 4, init_value(4)), cfg);
-    JpInvariantChecker chk(wl.system());
+    SimWorkload<Jp> wl(3, 4, cfg);
+    JpChecker chk(wl);
     ChurnConfig churn;
     churn.sched_seed = 42;
     const RunResult r = run_crash_churn(wl, chk, churn);
@@ -276,9 +271,9 @@ int main(int argc, char** argv) {
         "  crash churn:     %llu steps, %llu crashes / %llu reclaims, "
         "worst live LL %u steps (bound %u, ok=%d)\n",
         static_cast<unsigned long long>(r.total_steps),
-        static_cast<unsigned long long>(wl.system().crashes_total()),
-        static_cast<unsigned long long>(wl.system().crash_reclaims_total()),
-        r.max_ll_steps, SimJpSystem::ll_step_bound(3, 4), r.ok ? 1 : 0);
+        static_cast<unsigned long long>(wl.crashes_total()),
+        static_cast<unsigned long long>(wl.crash_reclaims_total()),
+        r.max_ll_steps, Jp::ll_step_bound(3, 4), r.ok ? 1 : 0);
   }
   if (!obs.finish()) return 1;
   if (!g_all_ok) {

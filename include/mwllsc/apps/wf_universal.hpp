@@ -60,7 +60,8 @@ class WfUniversal {
   /// Per-apply bound on { LL; help-all; SC } rounds (see file comment).
   static constexpr std::uint64_t kMaxAttempts = 3;
 
-  /// Test seam, mirroring core::MwLLSC::StepHook: called at "announced"
+  /// Test seam (apps/ is not simulated; the core protocol is driven by
+  /// directed simulator schedules instead): called at "announced"
   /// (op published, before the first LL), "linked" (snapshot taken, before
   /// help-all + SC) and "sc_failed". Lets a test park a process at an
   /// exact protocol point and drive the help-all path deterministically.

@@ -20,18 +20,32 @@
 
 namespace mwllsc::baseline {
 
-template <class LLSC>
+template <class LLSC, class Mem = NativeMemory>
 class AmLLSC {
+  template <class T>
+  using Atomic = typename Mem::template Atomic<T>;
+  template <class T>
+  using Plain = typename Mem::template Plain<T>;
+
  public:
+  /// The implemented LL step bound in shared-memory accesses: am shares
+  /// jp's announce/help schedule, so an LL is served within O(N)
+  /// successful SCs; each failed attempt costs W+3 accesses and the
+  /// helped finish 2W+4, all inside (N+3)(W+3)+2W+4.
+  static constexpr std::uint32_t ll_step_bound(std::uint32_t n,
+                                               std::uint32_t w) {
+    return (n + 3) * (w + 3) + 2 * w + 4;
+  }
+
   AmLLSC(std::uint32_t nprocs, std::uint32_t words)
       : n_(nprocs),
         w_(words),
         nbufs_(nprocs + 1),
         x_(nprocs, pack_x(0, nprocs)),
-        buf_(new std::atomic<std::uint64_t>[static_cast<std::size_t>(
+        buf_(new Atomic<std::uint64_t>[static_cast<std::size_t>(
             nprocs + 1) * words]),
-        handoff_(new std::uint64_t[static_cast<std::size_t>(nprocs) *
-                                   nprocs * words]),
+        handoff_(new Plain<std::uint64_t>[static_cast<std::size_t>(nprocs) *
+                                          nprocs * words]),
         announce_(new AnnounceSlot[nprocs]),
         priv_(new Priv[nprocs]),
         lastval_(new std::uint64_t[static_cast<std::size_t>(nprocs) * words]),
@@ -88,7 +102,7 @@ class AmLLSC {
         // The helper copied a consistent value into its handoff row for us;
         // it will not be rewritten until we announce again.
         const std::uint32_t q = donor_of_a(a);
-        const std::uint64_t* h = handoff_row(q, p);
+        const Plain<std::uint64_t>* h = handoff_row(q, p);
         for (std::uint32_t i = 0; i < w_; ++i) out[i] = h[i];
         me.link_valid = false;
         auto& c = stats_.at(p);
@@ -133,7 +147,7 @@ class AmLLSC {
     if (target != p && state_of_a(seen) == kWaiting) {
       // Copy-based help: hand over the value we read at our LL (current
       // until our SC an instant ago) through our handoff row. O(W).
-      std::uint64_t* h = handoff_row(p, target);
+      Plain<std::uint64_t>* h = handoff_row(p, target);
       const std::uint64_t* src = lastrow(p);
       for (std::uint32_t i = 0; i < w_; ++i) h[i] = src[i];
       const std::uint64_t donated = pack_a(kHelped, p, seq_of_a(seen));
@@ -214,7 +228,7 @@ class AmLLSC {
   static std::uint64_t seq_of_a(std::uint64_t a) { return a >> 20; }
 
   struct alignas(64) AnnounceSlot {
-    std::atomic<std::uint64_t> a;
+    Atomic<std::uint64_t> a;
   };
 
   struct alignas(64) Priv {
@@ -225,7 +239,7 @@ class AmLLSC {
   };
 
   void copy_from_bufs(std::uint32_t b, std::uint64_t* out) const {
-    const std::atomic<std::uint64_t>* row =
+    const Atomic<std::uint64_t>* row =
         buf_.get() + static_cast<std::size_t>(b) * w_;
     for (std::uint32_t i = 0; i < w_; ++i) {
       out[i] = row[i].load(std::memory_order_relaxed);
@@ -233,14 +247,15 @@ class AmLLSC {
   }
 
   void copy_to_bufs(std::uint32_t b, const std::uint64_t* v) {
-    std::atomic<std::uint64_t>* row =
+    Atomic<std::uint64_t>* row =
         buf_.get() + static_cast<std::size_t>(b) * w_;
     for (std::uint32_t i = 0; i < w_; ++i) {
       row[i].store(v[i], std::memory_order_relaxed);
     }
   }
 
-  std::uint64_t* handoff_row(std::uint32_t helper, std::uint32_t helpee) {
+  Plain<std::uint64_t>* handoff_row(std::uint32_t helper,
+                                    std::uint32_t helpee) {
     return handoff_.get() +
            (static_cast<std::size_t>(helper) * n_ + helpee) * w_;
   }
@@ -253,13 +268,16 @@ class AmLLSC {
   const std::uint32_t w_;
   const std::uint32_t nbufs_;
   LLSC x_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buf_;
-  std::unique_ptr<std::uint64_t[]> handoff_;
+  std::unique_ptr<Atomic<std::uint64_t>[]> buf_;
+  std::unique_ptr<Plain<std::uint64_t>[]> handoff_;
   std::unique_ptr<AnnounceSlot[]> announce_;
   std::unique_ptr<Priv[]> priv_;
   std::unique_ptr<std::uint64_t[]> lastval_;
   util::OpStatsArray stats_;
   obs::TraceHandle trace_;
+
+  template <class>
+  friend struct sim::Inspector;
 };
 
 }  // namespace mwllsc::baseline

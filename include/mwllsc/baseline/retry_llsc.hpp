@@ -18,15 +18,18 @@
 
 namespace mwllsc::baseline {
 
-template <class LLSC>
+template <class LLSC, class Mem = NativeMemory>
 class RetryLLSC {
+  template <class T>
+  using Atomic = typename Mem::template Atomic<T>;
+
  public:
   RetryLLSC(std::uint32_t nprocs, std::uint32_t words)
       : n_(nprocs),
         w_(words),
         nbufs_(nprocs + 1),
         x_(nprocs, pack_x(0, nprocs)),
-        buf_(new std::atomic<std::uint64_t>[static_cast<std::size_t>(
+        buf_(new Atomic<std::uint64_t>[static_cast<std::size_t>(
             nprocs + 1) * words]),
         priv_(new Priv[nprocs]),
         stats_(nprocs) {
@@ -131,7 +134,7 @@ class RetryLLSC {
   };
 
   void copy_out(std::uint32_t b, std::uint64_t* out) const {
-    const std::atomic<std::uint64_t>* row =
+    const Atomic<std::uint64_t>* row =
         buf_.get() + static_cast<std::size_t>(b) * w_;
     for (std::uint32_t i = 0; i < w_; ++i) {
       out[i] = row[i].load(std::memory_order_relaxed);
@@ -139,7 +142,7 @@ class RetryLLSC {
   }
 
   void copy_in(std::uint32_t b, const std::uint64_t* v) {
-    std::atomic<std::uint64_t>* row =
+    Atomic<std::uint64_t>* row =
         buf_.get() + static_cast<std::size_t>(b) * w_;
     for (std::uint32_t i = 0; i < w_; ++i) {
       row[i].store(v[i], std::memory_order_relaxed);
@@ -150,10 +153,13 @@ class RetryLLSC {
   const std::uint32_t w_;
   const std::uint32_t nbufs_;
   LLSC x_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> buf_;
+  std::unique_ptr<Atomic<std::uint64_t>[]> buf_;
   std::unique_ptr<Priv[]> priv_;
   util::OpStatsArray stats_;
   obs::TraceHandle trace_;
+
+  template <class>
+  friend struct sim::Inspector;
 };
 
 }  // namespace mwllsc::baseline

@@ -31,6 +31,13 @@
 //
 // Per-process link state (the word observed at the last LL) is private to
 // the linking process and padded to its own cache line.
+//
+// Shared-memory policy. The engine and the protocols built on it reach
+// shared memory only through a policy's `Atomic<T>` (and, for the am
+// baseline's handoff rows, `Plain<T>`). NativeMemory is plain std::atomic
+// and plain words, so production code compiles exactly as if written
+// against std::atomic directly; the simulator's policy (sim/memory.hpp)
+// turns every load, store and CAS into a scheduling point.
 #pragma once
 
 #include <atomic>
@@ -39,14 +46,34 @@
 #include <cstdint>
 #include <memory>
 
-namespace mwllsc::llsc {
+namespace mwllsc {
+
+/// The production shared-memory policy (see the header comment).
+struct NativeMemory {
+  template <class T>
+  using Atomic = std::atomic<T>;
+  template <class T>
+  using Plain = T;
+};
+
+namespace sim {
+/// Read-only view of a protocol object's shared and private state for the
+/// simulator's invariant checker (sim/inspect.hpp); nothing else uses it.
+template <class Object>
+struct Inspector;
+}  // namespace sim
+
+namespace llsc {
 
 namespace detail {
 
 /// Shared implementation: Word is the CAS granule, split into the low
 /// kValueBits of value and the remaining high bits of sequence tag.
-template <typename Word, unsigned kValueBitsParam>
+template <typename Word, unsigned kValueBitsParam, class Mem = NativeMemory>
 class SeqTagLLSC {
+  template <class T>
+  using Atomic = typename Mem::template Atomic<T>;
+
  public:
   static constexpr unsigned kValueBits = kValueBitsParam;
   static constexpr unsigned kTagBits = sizeof(Word) * 8 - kValueBitsParam;
@@ -155,11 +182,14 @@ class SeqTagLLSC {
   // A full line to itself: the CAS-hot variable must not share a cache
   // line with the read-mostly members (or the enclosing object's fields).
   struct alignas(64) Cell {
-    std::atomic<Word> w;
+    Atomic<Word> w;
   };
   struct alignas(64) Link {
     Word seen;  // only process p reads/writes links_[p]
   };
+
+  template <class>
+  friend struct sim::Inspector;
 
   Cell cell_;
   std::unique_ptr<Link[]> links_;
@@ -171,4 +201,5 @@ class SeqTagLLSC {
 using Dw128LLSC = detail::SeqTagLLSC<unsigned __int128, 64>;
 using Packed64LLSC = detail::SeqTagLLSC<std::uint64_t, 32>;
 
-}  // namespace mwllsc::llsc
+}  // namespace llsc
+}  // namespace mwllsc

@@ -52,6 +52,15 @@
 // drifted LL returns with its link broken: VL reports false and SC fails
 // in O(1), which is semantically exact — a successful SC intervened.
 //
+// Crash-stop reclamation (reclaim_pid, DESIGN.md §10). A process that died
+// at a step boundary may leave three obligations: a posted announce
+// (withdrawn), an unconsumed donation (adopted into its exchange side), and
+// a successful SC whose ring swap never ran (settled on its behalf).
+// Priv::announced marks the LL window in which the slot word, not xbuf,
+// names the exchange buffer; Priv::retire_tag marks the window between the
+// X SC and the ring swap, during which the retiree is provisionally the
+// writer's spare.
+//
 // Memory ordering. Buffer words are relaxed atomics; both the reader copy
 // and the helper copy are validated seqlock-style (acquire fence before
 // the tag re-check / link re-validation); donated contents are published
@@ -72,12 +81,18 @@
 
 namespace mwllsc::core {
 
-template <class LLSC>
+template <class LLSC, class Mem = NativeMemory>
 class MwLLSC {
+  template <class T>
+  using Atomic = typename Mem::template Atomic<T>;
+
  public:
-  /// Test seam: called at named protocol points when installed (never from
-  /// the default path — the pointer check is the only overhead).
-  using StepHook = void (*)(void* ctx, const char* point, std::uint32_t pid);
+  /// Theorem 1's LL step bound: no LL takes more than 4W+12 shared-memory
+  /// accesses (the implementation's worst case is 2W+4), independent of N.
+  static constexpr std::uint32_t ll_step_bound(std::uint32_t /*n*/,
+                                               std::uint32_t w) {
+    return 4 * w + 12;
+  }
 
   MwLLSC(std::uint32_t nprocs, std::uint32_t words)
       : n_(nprocs),
@@ -87,7 +102,7 @@ class MwLLSC {
         nbufs_(2 * nprocs + ring_size_ + 1),
         stride_((words + 7) & ~7u),
         x_(nprocs, pack_x(0, 2 * nprocs + ring_size_)),
-        raw_buf_(new std::atomic<std::uint64_t>[
+        raw_buf_(new Atomic<std::uint64_t>[
             static_cast<std::size_t>(2 * nprocs + ring_size_ + 1) *
                 ((words + 7) & ~7u) + 7]),
         ring_(new RingCell[ring_size_]),
@@ -126,19 +141,18 @@ class MwLLSC {
     Priv& me = priv_[p];
     auto& c = stats_.at(p);
     me.seq = (me.seq + 1) & kSeqMask;  // the announce word holds 44 bits
+    me.announced = true;
     // Announce, offering our exchange buffer to a prospective helper.
     // mwllsc-ordering: seq_cst(this store and the winners' pre-SC probes
     // of A[(T+1) mod P] share one total order, so a winner that misses
     // the announce must have linked before it — bounding drift at P tags)
     announce_[p].a.store(pack_a(kWaiting, me.xbuf, me.seq),
                          std::memory_order_seq_cst);
-    hook("ll:announced", p);
     trace_.emit(obs::EventKind::kLlStart, p, me.seq);
     for (;;) {
       const std::uint64_t x = x_.ll(p);
       const std::uint64_t t0 = x_.linked_tag(p);
       const std::uint32_t b = buf_of_x(x);
-      hook("ll:read_x", p);
       copy_out(b, out);
       std::atomic_thread_fence(std::memory_order_acquire);
       const std::uint64_t drift = x_.current_tag() - t0;
@@ -174,6 +188,7 @@ class MwLLSC {
             reclaimed = true;
           }
         }
+        me.announced = false;
         me.ll_buf = b;
         // Any drift already broke the link; so does a raced reclaim.
         me.link_valid = (drift == 0) && !reclaimed;
@@ -193,6 +208,7 @@ class MwLLSC {
         const std::uint32_t d = buf_of_a(a);
         copy_out(d, out);
         me.xbuf = d;
+        me.announced = false;
         me.link_valid = false;  // a successful SC already intervened
         c.bump(c.ll_helped);
         c.bump(c.ll_used_helped_value);
@@ -203,7 +219,6 @@ class MwLLSC {
       // Unreachable if the help guarantee holds (tests assert this
       // counter stays zero); kept as a defensive retry.
       c.bump(c.ll_retries);
-      hook("ll:retry", p);
       trace_.emit(obs::EventKind::kLlRetry, p, me.seq);
     }
   }
@@ -223,7 +238,6 @@ class MwLLSC {
     // Write the new value into our spare buffer.
     copy_in(me.spare, v);
     std::atomic_thread_fence(std::memory_order_release);
-    hook("sc:wrote_spare", p);
     const std::uint64_t t = x_.linked_tag(p);
     // Probe the help schedule *before* the SC: the winner of tag T+1
     // reads A[(T+1) mod P] (P a power of two — mask, no division), so
@@ -237,7 +251,6 @@ class MwLLSC {
       const std::uint64_t seen =
           announce_[target].a.load(std::memory_order_seq_cst);
       if (state_of_a(seen) == kWaiting) {
-        hook("sc:probed", p);
         // Pre-SC help: copy the (still linked) current buffer into our
         // exchange buffer, re-validate the link seqlock-style — if it
         // holds, the copy is an untorn snapshot of version T taken after
@@ -255,7 +268,6 @@ class MwLLSC {
                   std::memory_order_seq_cst)) {
             me.xbuf = buf_of_a(seen);  // ownership exchange, O(1)
             c.bump(c.helps_given);
-            hook("sc:help_marked", p);
             trace_.emit(obs::EventKind::kHelpInstall, p, seq_of_a(seen),
                         target);
           }
@@ -267,42 +279,14 @@ class MwLLSC {
       return false;
     }
     c.bump(c.sc_success);
-    trace_.emit(obs::EventKind::kScCommit, p, (t + 1) & kRingTagMask);
-    // The bank write: retire the previously-current buffer through the
-    // aged ring (I2: exactly one resolution per successful SC).
-    const std::uint32_t retired = me.ll_buf;
     const std::uint64_t mytag = (t + 1) & kRingTagMask;
-    RingCell& cell = ring_[static_cast<std::uint32_t>(t + 1) & (ring_size_ - 1)];
-    for (;;) {
-      const std::uint64_t rw = cell.w.load(std::memory_order_acquire);
-      const std::uint64_t d = (mytag - ring_tag_of(rw)) & kRingTagMask;
-      // All tags in a cell are congruent mod R, so d is a multiple of R:
-      // d >= R with the high bits clear means the cell is genuinely
-      // behind us — swap our retiree in and take the aged buffer out.
-      if (d >= ring_size_ && !(d >> (kRingTagBits - 1))) {
-        // The ring swap is the bank-write resolution: exactly one winner
-        // per tag retires into the cell, which is what keeps invariant
-        // I2 and the aging bound R.
-        // mwllsc-ordering: seq_cst(one retiree per tag resolves the cell)
-        std::uint64_t expect = rw;
-        if (cell.w.compare_exchange_strong(expect, pack_ring(retired, mytag),
-                                           std::memory_order_seq_cst)) {
-          me.spare = ring_buf_of(rw);
-          break;
-        }
-        // Lost to another winner resolving this cell; re-read (bounded:
-        // each failure is a distinct winner with a smaller tag).
-      } else {
-        // Lapped: the cell moved past our tag while we stalled, so our
-        // own retiree has already aged >= R tags — keep it as the spare.
-        me.spare = retired;
-        break;
-      }
-    }
-    c.bump(c.bank_writes);
-    hook("sc:retired", p);
-    trace_.emit(obs::EventKind::kBufferRetire, p, mytag, retired);
-    trace_.emit(obs::EventKind::kBankWrite, p, mytag, retired);
+    trace_.emit(obs::EventKind::kScCommit, p, mytag);
+    // The previously-current buffer is ours until the ring swap resolves:
+    // provisionally the spare, with the bank write marked pending so a
+    // reclaimer can finish it if we die before the swap.
+    me.spare = me.ll_buf;
+    me.retire_tag = mytag;
+    retire(p, me);
     return true;
   }
 
@@ -315,28 +299,46 @@ class MwLLSC {
   }
 
   /// Crash-stop slot reclamation (membership layer, DESIGN.md §10).
-  /// Settles the announce-slot obligations a dead process left behind so
-  /// its pid can be reissued: a posted WAITING announce is withdrawn (so
-  /// future winners stop donating into a slot nobody will read) and an
-  /// unconsumed donation is adopted into the word's buffer field — the
-  /// dead process's old exchange buffer went to the donor, the donated
-  /// buffer is the slot's buffer now, and the ownership census stays
-  /// exact. The unconditional seq bump fences the slot against stale
-  /// donation CASes keyed to the dead seq. A buffer the dead process held
-  /// mid-retirement is not recovered here: the aged ring absorbs orphaned
-  /// cells via the lapping rule, so survivors never block on it.
-  /// Precondition: p takes no further steps (crash-stop); the pid is
-  /// reissued only after rebind_pid. Returns true if an obligation (a
-  /// posted announce or an unconsumed donation) was actually settled.
+  /// Settles every obligation a dead process left behind so its pid can
+  /// be reissued with the ownership census exact:
+  ///  - a successful SC whose ring swap never ran is retired now (I2: its
+  ///    one bank write still happens exactly once);
+  ///  - a posted WAITING announce is withdrawn, so winners stop donating
+  ///    into a slot nobody reads;
+  ///  - an unconsumed donation is adopted: the donor took the offered
+  ///    exchange buffer, so the donated one becomes the pid's xbuf.
+  /// The slot word is rewritten IDLE with the next seq, which fences it
+  /// against stale donation CASes keyed to the dead LL. The pid is
+  /// reissued only after rebind_pid. Returns true if an obligation was
+  /// actually settled.
+  ///
+  /// Precondition: p is certainly dead — it takes no further steps, and
+  /// its private state is the one it left at a step boundary (a shared
+  /// access together with the private bookkeeping that records its
+  /// result), published to the caller. The membership layer calls this
+  /// only for holders that abandon()ed, i.e. stopped at an op boundary;
+  /// the simulator crashes processes at step boundaries. A process that
+  /// could stop between its X SC and the bookkeeping after it is outside
+  /// this contract: once X moves on, whether that SC landed cannot be
+  /// read back from shared memory.
   bool reclaim_pid(std::uint32_t p) {
     assert(p < n_);
+    Priv& me = priv_[p];
+    const bool retiring = me.retire_tag != kNoRetire;
+    if (retiring) retire(p, me);
     // mwllsc-ordering: seq_cst(the withdraw-by-proxy races a winner's
     // donation CAS on this slot exactly like the owner's withdraw does;
     // the single total order picks one side of the ownership exchange)
     std::uint64_t a = announce_[p].a.load(std::memory_order_seq_cst);
+    std::uint32_t xbuf;
     for (;;) {
+      // Only a donation to the LL in flight is unconsumed; a HELPED word
+      // from an earlier LL is stale, and xbuf is authoritative then.
+      const bool donated = me.announced && state_of_a(a) == kHelped &&
+                           seq_of_a(a) == me.seq;
+      xbuf = donated ? buf_of_a(a) : me.xbuf;
       const std::uint64_t next =
-          pack_a(kIdle, buf_of_a(a), (seq_of_a(a) + 1) & kSeqMask);
+          pack_a(kIdle, xbuf, (seq_of_a(a) + 1) & kSeqMask);
       // mwllsc-ordering: seq_cst(same handshake as the load above: one
       // winner between this withdraw-by-proxy and a racing donation)
       if (announce_[p].a.compare_exchange_weak(a, next,
@@ -347,27 +349,26 @@ class MwLLSC {
       // word is HELPED and the next lap adopts it (at most one extra lap:
       // donations require WAITING, which the word never is again).
     }
+    const bool announced = me.announced;
+    me.xbuf = xbuf;
+    me.seq = (seq_of_a(a) + 1) & kSeqMask;
+    me.announced = false;
+    me.link_valid = false;
     trace_.emit(obs::EventKind::kProcCrashReclaim, p, seq_of_a(a));
-    return state_of_a(a) != kIdle;
+    return retiring || announced;
   }
 
   /// Reissues pid p to a new owner after reclaim_pid or a graceful
-  /// retirement: re-derives the private mirror from the announce word so
-  /// the new owner starts consistent — the slot's exchange buffer and seq
-  /// come from the word (a stale HELPED word left by a withdraw-failure
-  /// adoption resolves to the same buffer the old owner held), and the
-  /// link starts broken. Must not run concurrently with any operation by
-  /// a previous owner of p; the membership layer guarantees this by only
-  /// reissuing slots whose holder retired or was reclaimed.
+  /// retirement. The private mirror is authoritative — xbuf is the
+  /// exchange buffer the previous owner actually held (the slot word can
+  /// still name one it donated away as a helper) — so the new owner only
+  /// starts with its link broken. Must not run concurrently with any
+  /// operation by a previous owner of p; the membership layer guarantees
+  /// this by only reissuing slots whose holder retired or was reclaimed.
   void rebind_pid(std::uint32_t p) {
     assert(p < n_);
-    // mwllsc-ordering: seq_cst(reads the word settled by the retire-path
-    // withdraw or reclaim_pid CAS in the same total order)
-    const std::uint64_t a = announce_[p].a.load(std::memory_order_seq_cst);
-    Priv& me = priv_[p];
-    me.xbuf = buf_of_a(a);
-    me.seq = seq_of_a(a);
-    me.link_valid = false;
+    assert(!priv_[p].announced && priv_[p].retire_tag == kNoRetire);
+    priv_[p].link_valid = false;
   }
 
   std::uint32_t words() const { return w_; }
@@ -386,11 +387,6 @@ class MwLLSC {
           n_ * sizeof(Priv) + x_.private_bytes() + stats_.bytes(),
           util::Footprint::Ownership::kPerProcess);
     return f;
-  }
-
-  void set_step_hook(StepHook h, void* ctx) {
-    hook_ = h;
-    hook_ctx_ = ctx;
   }
 
   /// Binds this variable to a trace sink (obs/trace.hpp); self-describes
@@ -455,50 +451,90 @@ class MwLLSC {
   }
 
   struct alignas(64) AnnounceSlot {
-    std::atomic<std::uint64_t> a;
+    Atomic<std::uint64_t> a;
   };
 
   struct alignas(64) RingCell {
-    std::atomic<std::uint64_t> w;
+    Atomic<std::uint64_t> w;
   };
 
-  struct alignas(64) Priv {  // touched only by the owning process
+  static constexpr std::uint64_t kNoRetire = ~std::uint64_t{0};
+
+  // Touched only by the owning process (and by reclaim_pid once it died).
+  struct alignas(64) Priv {
     std::uint32_t spare = 0;
     std::uint32_t xbuf = 0;
     std::uint32_t ll_buf = 0;
     std::uint64_t seq = 0;
+    std::uint64_t retire_tag = kNoRetire;  ///< pending bank write's tag
     bool link_valid = false;
+    bool announced = false;  ///< in LL: the slot word names the exchange side
   };
 
-  std::atomic<std::uint64_t>* buf_row(std::uint32_t b) const {
+  Atomic<std::uint64_t>* buf_row(std::uint32_t b) const {
     return buf0_ + static_cast<std::size_t>(b) * stride_;
   }
 
   void copy_out(std::uint32_t b, std::uint64_t* out) const {
-    const std::atomic<std::uint64_t>* row = buf_row(b);
+    const Atomic<std::uint64_t>* row = buf_row(b);
     for (std::uint32_t i = 0; i < w_; ++i) {
       out[i] = row[i].load(std::memory_order_relaxed);
     }
   }
 
   void copy_in(std::uint32_t b, const std::uint64_t* v) {
-    std::atomic<std::uint64_t>* row = buf_row(b);
+    Atomic<std::uint64_t>* row = buf_row(b);
     for (std::uint32_t i = 0; i < w_; ++i) {
       row[i].store(v[i], std::memory_order_relaxed);
     }
   }
 
   void copy_buf(std::uint32_t from, std::uint32_t to) {
-    const std::atomic<std::uint64_t>* src = buf_row(from);
-    std::atomic<std::uint64_t>* dst = buf_row(to);
+    const Atomic<std::uint64_t>* src = buf_row(from);
+    Atomic<std::uint64_t>* dst = buf_row(to);
     for (std::uint32_t i = 0; i < w_; ++i) {
       dst[i].store(src[i].load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
     }
   }
 
-  void hook(const char* point, std::uint32_t pid) {
-    if (hook_) hook_(hook_ctx_, point, pid);
+  /// The bank write: retires me.ll_buf through the aged ring cell of
+  /// me.retire_tag (I2: exactly one resolution per successful SC), taking
+  /// the cell's aged buffer as the new spare. Run by the SC's winner, or
+  /// by reclaim_pid for a winner that died before its swap.
+  void retire(std::uint32_t p, Priv& me) {
+    const std::uint32_t retired = me.ll_buf;
+    const std::uint64_t mytag = me.retire_tag;
+    RingCell& cell =
+        ring_[static_cast<std::uint32_t>(mytag) & (ring_size_ - 1)];
+    for (;;) {
+      const std::uint64_t rw = cell.w.load(std::memory_order_acquire);
+      const std::uint64_t d = (mytag - ring_tag_of(rw)) & kRingTagMask;
+      // All tags in a cell are congruent mod R, so d is a multiple of R:
+      // d >= R with the high bits clear means the cell is genuinely
+      // behind us — swap our retiree in and take the aged buffer out.
+      // Otherwise we were lapped: the cell moved past our tag while we
+      // stalled, so the retiree has already aged >= R tags and stays the
+      // spare.
+      if (d < ring_size_ || (d >> (kRingTagBits - 1))) break;
+      // The ring swap is the bank-write resolution: exactly one winner
+      // per tag retires into the cell, which is what keeps invariant
+      // I2 and the aging bound R.
+      // mwllsc-ordering: seq_cst(one retiree per tag resolves the cell)
+      std::uint64_t expect = rw;
+      if (cell.w.compare_exchange_strong(expect, pack_ring(retired, mytag),
+                                         std::memory_order_seq_cst)) {
+        me.spare = ring_buf_of(rw);
+        break;
+      }
+      // Lost to another winner resolving this cell; re-read (bounded:
+      // each failure is a distinct winner with a smaller tag).
+    }
+    me.retire_tag = kNoRetire;
+    auto& c = stats_.at(p);
+    c.bump(c.bank_writes);
+    trace_.emit(obs::EventKind::kBufferRetire, p, mytag, retired);
+    trace_.emit(obs::EventKind::kBankWrite, p, mytag, retired);
   }
 
   const std::uint32_t n_;
@@ -508,15 +544,16 @@ class MwLLSC {
   const std::uint32_t nbufs_;
   const std::uint32_t stride_;    ///< buffer row pitch, words (line-padded)
   LLSC x_;
-  std::unique_ptr<std::atomic<std::uint64_t>[]> raw_buf_;
-  std::atomic<std::uint64_t>* buf0_ = nullptr;  ///< 64B-aligned row 0
+  std::unique_ptr<Atomic<std::uint64_t>[]> raw_buf_;
+  Atomic<std::uint64_t>* buf0_ = nullptr;  ///< 64B-aligned row 0
   std::unique_ptr<RingCell[]> ring_;
   std::unique_ptr<AnnounceSlot[]> announce_;
   std::unique_ptr<Priv[]> priv_;
   util::OpStatsArray stats_;
   obs::TraceHandle trace_;
-  StepHook hook_ = nullptr;
-  void* hook_ctx_ = nullptr;
+
+  template <class>
+  friend struct sim::Inspector;
 };
 
 }  // namespace mwllsc::core

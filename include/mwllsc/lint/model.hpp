@@ -3,7 +3,10 @@
 //
 //   * every std::atomic<...> declaration (member field, global, local or
 //     pointer), with its cache-line-padding evidence: alignas(...) on the
-//     declaration itself or on the immediately enclosing struct/class;
+//     declaration itself or on the immediately enclosing struct/class.
+//     A declaration through a shared-memory policy's alias, Atomic<...>
+//     (core/llsc.hpp), counts the same: the protocols are templates over
+//     the policy, and its production type is std::atomic;
 //   * every atomic access site: load/store/exchange/compare_exchange_*/
 //     fetch_* member calls (with the explicit memory_order arguments they
 //     pass, if any), std::atomic_thread_fence calls, and operator sugar
@@ -249,7 +252,9 @@ inline FileModel build_model(SourceFile src) {
     if (j + 1 < n && toks[j].text == "std" && toks[j + 1].text == "::") {
       j += 2;
     }
-    if (j >= n || toks[j].text != "atomic") return;
+    if (j >= n || (toks[j].text != "atomic" && toks[j].text != "Atomic")) {
+      return;
+    }
     ++j;
     const std::size_t after = detail::skip_angles(toks, j);
     if (after == j) return;  // `atomic` without template args: not a decl
@@ -417,7 +422,8 @@ inline FileModel build_model(SourceFile src) {
     const bool stmt_start = prev_text == ";" || prev_text == "{" ||
                             prev_text == "}" || prev_text == ":";
     if (stmt_start && t.kind == Token::Kind::kIdent &&
-        (t.text == "std" || t.text == "atomic" || t.text == "static" ||
+        (t.text == "std" || t.text == "atomic" || t.text == "Atomic" ||
+         t.text == "static" ||
          t.text == "mutable" || t.text == "constexpr" ||
          t.text == "inline" || t.text == "extern" ||
          t.text == "thread_local" || t.text == "const" ||

@@ -2,9 +2,12 @@
 // (DESIGN.md §10). Threads join() to obtain a Session — an RAII pid lease
 // drawn from a SlotRegistry — and call ll/sc/vl through it; retire (or
 // crash) returns the pid to the pool. The managed object owns the
-// crash-reclaim policy: reclaim_scan() recycles dead holders' slots and
-// settles their announce-slot help obligations (core reclaim_pid) so the
-// survivors' 4W+12 step bound is unaffected by the corpse.
+// crash-reclaim policy: reclaim_scan() recycles the slots of holders that
+// are certainly dead — they abandon()ed — and settles their announce-slot
+// help obligations (core reclaim_pid) so the survivors' 4W+12 step bound is
+// unaffected by the corpse. A holder that is merely quiet is never
+// condemned: the registry's heartbeat staleness is a guess, and reclaim_pid
+// rewrites the pid's private state, which a live holder still owns.
 //
 // Graceful degradation: when every slot is held, join() runs a bounded
 // number of orphan-recycling retries and then falls over to a *degraded*
@@ -92,7 +95,6 @@ class ManagedMwLLSC {
         parent_->impl_.ll(parent_->reserved_pid(), out);
         return;
       }
-      slot_.beat();
       parent_->impl_.ll(slot_.id(), out);
     }
 
@@ -105,7 +107,6 @@ class ManagedMwLLSC {
         parent_->degraded_mu_.unlock();
         return ok;
       }
-      slot_.beat();
       return parent_->impl_.sc(slot_.id(), in);
     }
 
@@ -114,18 +115,12 @@ class ManagedMwLLSC {
       if (degraded_) {
         return lock_held_ && parent_->impl_.vl(parent_->reserved_pid());
       }
-      slot_.beat();
       return parent_->impl_.vl(slot_.id());
     }
 
-    /// Liveness signal for long idle stretches (ll/sc/vl already beat).
-    void beat() {
-      if (parent_ && !degraded_) slot_.beat();
-    }
-
-    /// Clean retirement. Returns false if the slot had been reclaimed out
-    /// from under this session (heartbeat false positive — the pid already
-    /// belongs to someone else and this session's link is gone).
+    /// Clean retirement. Returns false only if the slot was no longer this
+    /// session's to release; reclaim_scan() never takes an ACTIVE slot, so
+    /// with this layer's policy that does not happen.
     bool retire() MWLLSC_NO_TSA {
       if (!parent_) return true;
       ManagedMwLLSC* p = parent_;
@@ -181,21 +176,18 @@ class ManagedMwLLSC {
   };
 
   ManagedMwLLSC(std::uint32_t slots, std::uint32_t words,
-                std::uint32_t suspect_scans = 3,
                 std::uint32_t join_retries = 2)
       : slots_(slots),
         join_retries_(join_retries),
         impl_(slots + 1, words),
-        reg_(slots, suspect_scans) {
+        reg_(slots) {
     assert(slots >= 1);
   }
 
   /// Acquires a session. Wait-free while slots are available (one bounded
   /// claim pass). Under exhaustion: up to `join_retries` rounds of
-  /// orphan-recycling scans (cooperatively-crashed holders are swept;
-  /// heartbeat-stale ones are NOT — condemning a live-but-quiet holder
-  /// takes deliberately spaced reclaim_scan() calls, never a join burst),
-  /// then the degraded lock-serialized session. Never fails, never blocks.
+  /// orphan-recycling scans, then the degraded lock-serialized session.
+  /// Never fails, never blocks.
   Session join() {
     for (std::uint32_t attempt = 0;; ++attempt) {
       const std::uint32_t s = reg_.try_acquire();
@@ -203,14 +195,13 @@ class ManagedMwLLSC {
         // Sync the pid's private protocol state with however the previous
         // incarnation left the announce word (retired or reclaimed).
         impl_.rebind_pid(s);
-        reg_.beat(s);
         c_.joins.fetch_add(1, std::memory_order_relaxed);
         trace_.emit(obs::EventKind::kProcJoin, s, reg_.generation(s), 0);
         return Session(this, ProcessSlot(&reg_, s));
       }
       if (attempt >= join_retries_) break;
       c_.join_retries.fetch_add(1, std::memory_order_relaxed);
-      reclaim_scan(/*include_stale=*/false);
+      reclaim_scan();
     }
     c_.degraded_joins.fetch_add(1, std::memory_order_relaxed);
     {
@@ -222,25 +213,26 @@ class ManagedMwLLSC {
     return Session(this);
   }
 
-  /// Reclaim sweep (see SlotRegistry::scan). For every dead holder this
-  /// settles the pid's announce-slot obligations — completing a posted
-  /// donation's adoption or withdrawing a dangling announce — before the
-  /// slot can be re-claimed, so a new holder inherits a quiescent pid and
-  /// survivors' help bookkeeping stays exact. Call it from a maintenance
-  /// thread with spacing >> one op (heartbeat staleness is judged across
-  /// `suspect_scans` consecutive calls), or with include_stale=false for
-  /// an always-safe orphan-only sweep.
-  std::uint32_t reclaim_scan(bool include_stale = true) {
+  /// Reclaim sweep over ORPHANED slots only (SlotRegistry::scan with
+  /// include_stale=false). For every abandoned holder this settles the
+  /// pid's obligations (core reclaim_pid) before the slot can be
+  /// re-claimed, so a new holder inherits a quiescent pid and survivors'
+  /// help bookkeeping stays exact. Heartbeat-stale ACTIVE slots are left
+  /// alone: reclaim_pid's precondition is a holder that takes no further
+  /// steps, and staleness cannot establish that. Safe to call at any time
+  /// and from any thread.
+  std::uint32_t reclaim_scan() {
     c_.scans.fetch_add(1, std::memory_order_relaxed);
     return reg_.scan(
         [this](std::uint32_t s) {
-          // Safe to touch pid s here: the slot is RECLAIMING, so the dead
-          // holder is gone and no new holder can claim it until the scan
-          // frees it — the pid stream stays single-writer.
+          // Safe to touch pid s here: the holder abandon()ed the slot (its
+          // acq_rel CAS publishes every private write of its last op to
+          // this scanner's acq_rel RECLAIMING CAS) and no new holder can
+          // claim it until the scan frees it — the pid stays single-writer.
           impl_.reclaim_pid(s);
           c_.crash_reclaims.fetch_add(1, std::memory_order_relaxed);
         },
-        include_stale);
+        /*include_stale=*/false);
   }
 
   std::uint32_t words() const { return impl_.words(); }

@@ -23,7 +23,10 @@
 //     without a beat. This is inherently heuristic: the caller must space
 //     scans so that (suspect_scans x spacing) comfortably exceeds any
 //     legitimate quiet period, and live holders should beat() when idle.
-//     A holder whose release CAS fails learns it was presumed dead.
+//     A holder whose release CAS fails learns it was presumed dead. A
+//     stale holder may still be running, so the cleanup for it must not
+//     touch its private state; the managed layer (managed.hpp) therefore
+//     never condemns by staleness.
 // Reclamation is two-phase: the scanner CASes the slot to RECLAIMING
 // (exactly one scanner wins), runs the caller's cleanup — which settles
 // the dead process's announce-slot help obligations (core reclaim_pid) so
@@ -107,8 +110,9 @@ class SlotRegistry {
         std::memory_order_relaxed);
   }
 
-  /// Holder liveness signal. Call once per operation (the managed layer
-  /// does) and periodically when idle.
+  /// Holder liveness signal for scan()'s staleness judgement. Callers that
+  /// use staleness beat once per operation and periodically when idle
+  /// (the managed layer does not use staleness, so it never beats).
   void beat(std::uint32_t s) {
     slots_[s].heartbeat.fetch_add(1, std::memory_order_relaxed);
   }
@@ -140,10 +144,13 @@ class SlotRegistry {
   /// cleanup (settling the dead pid's protocol obligations) is complete
   /// before any new holder can claim the slot. Returns slots reclaimed.
   ///
-  /// Join-path callers pass include_stale=false: orphan recycling is
-  /// always safe, but staleness needs scan *spacing* the caller controls —
-  /// back-to-back scans from a burst of joiners must not be able to
-  /// condemn a live-but-quiet holder.
+  /// Only an ORPHANED slot's holder is certainly dead: its abandon() CAS
+  /// publishes its last writes to the scanner's RECLAIMING CAS, and it
+  /// takes no further steps. A stale ACTIVE slot's holder may be merely
+  /// descheduled and resume at any time, so `on_dead` for it must not
+  /// touch state that holder owns (core reclaim_pid rewrites the pid's
+  /// private state and so requires the orphaned case; ManagedMwLLSC
+  /// always passes include_stale=false).
   template <class OnDead>
   std::uint32_t scan(OnDead&& on_dead, bool include_stale = true) {
     util::MutexLock g(scan_mu_);
@@ -261,10 +268,6 @@ class ProcessSlot {
   bool valid() const { return reg_ != nullptr; }
   std::uint32_t id() const { return slot_; }
   std::uint64_t generation() const { return gen_; }
-
-  void beat() {
-    if (reg_) reg_->beat(slot_);
-  }
 
   /// Returns false on a heartbeat false positive (the slot was reclaimed
   /// out from under us); the holder must not reuse the pid either way.

@@ -1,56 +1,65 @@
 // Invariant checkers for the simulation harness.
 //
-// A checker is a copyable value the harness calls after every simulator
-// step (on_step) and after every completed operation (on_op); ok() turns
-// false, with error() explaining, the first time anything is violated.
-// Checkers hold no pointer into the system — they always inspect the
-// instance the harness passes — so the CHESS enumerator can copy
-// (workload, checker) pairs freely at preemption branch points.
+// A checker is constructed from the workload it watches; the harness calls
+// on_step after every step, crash, reclaim and rebind, on_op after every
+// completed operation, and on_rebind when a pid is reissued. ok() turns
+// false, with error() explaining, the first time anything is violated. The
+// checkers read the shipped object through sim::Inspector (never through
+// ghost state), so what they verify is the code that ships:
 //
-//   * NullChecker         accepts everything (pure measurement runs);
-//   * JpInvariantChecker  the paper's structural invariants on the jp
-//     step machine plus a sequential-spec linearizability oracle:
+//   * NullChecker    accepts everything (pure measurement runs);
+//   * OracleChecker  the sequential-spec linearizability oracle, for any
+//     simulated object. Every SC writes a value unique to (pid, round), so
+//     the version history (X's tag -> the current buffer's contents,
+//     recorded the step each version appears) identifies the version an
+//     LL read: the index of its returned value. Then
+//       - every LL returns a value that was the variable's state at some
+//         version inside the op's invocation/response window;
+//       - an SC succeeds iff no successful SC intervened since its LL's
+//         version (the Brown–Ellen–Ruppert "pragmatic primitives"
+//         contract: failures are semantic, never spurious), and a
+//         successful SC's value is the next version's; VL mirrors SC;
+//   * JpChecker      the oracle plus the paper's structural invariants on
+//     the jp object:
 //       I1      every buffer has exactly one owner: the object (current),
 //               a process's spare, a process's exchange side, or a
 //               retirement-ring cell;
 //       I2      exactly one bank write (the ring retirement) per
-//               successful SC, counting the in-flight resolutions;
-//       4W+12   no LL exceeds the paper's step bound and the defensive
-//               retry arm never fires (the help guarantee holds);
-//       oracle  every LL returns the abstract value of its claimed
-//               linearization version, which lies inside the op's
-//               invocation/response window; SC succeeds iff no successful
-//               SC intervened since the matching LL (the Brown–Ellen–
-//               Ruppert "pragmatic primitives" contract: failures are
-//               semantic, never spurious); VL mirrors SC.
+//               successful SC, counting the pending ones;
+//       4W+12   no LL exceeds Theorem 1's step bound and the defensive
+//               retry arm never fires (stats().ll_retries == 0).
 //
-// Crash-stop schedules need no weakening of any check: the harness re-runs
-// on_step at every crash and reclaim event, so a frozen process must leave
-// the ownership census and the bank-write equation exact (its buffers stay
+// Crash-stop schedules need no weakening of any check: a frozen process
+// must leave the census and the bank-write equation exact (its buffers stay
 // owned, its in-flight retirement stays pending), reclamation must restore
-// them (adopting donations, completing the pending bank write), and the
-// 4W+12 bound and the oracle keep applying to every op the *live*
+// them, and the bound and the oracle keep applying to every op the *live*
 // processes complete — which is precisely the wait-freedom claim under
-// crashes: nobody who keeps taking steps is ever blocked or starved by a
-// process that stopped.
+// crashes: nobody who keeps taking steps is ever blocked by one that
+// stopped.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "sim/harness.hpp"
-#include "sim/sim_jp.hpp"
+#include "sim/inspect.hpp"
 
 namespace mwllsc::sim {
 
 /// Checker that checks nothing: for runs that only measure step counts.
 struct NullChecker {
-  template <class System>
-  void on_step(const System&) {}
-  template <class System>
-  void on_op(const System&, const OpRecord&) {}
+  NullChecker() = default;
+  template <class Workload>
+  explicit NullChecker(const Workload&) {}
+  template <class Workload>
+  void on_step(const Workload&) {}
+  template <class Workload>
+  void on_op(const Workload&, const OpRecord&) {}
+  template <class Workload>
+  void on_rebind(const Workload&, std::uint32_t) {}
   bool ok() const { return true; }
   const std::string& error() const {
     static const std::string kEmpty;
@@ -58,183 +67,238 @@ struct NullChecker {
   }
 };
 
-class JpInvariantChecker {
+template <class Object>
+class OracleChecker {
  public:
-  explicit JpInvariantChecker(const SimJpSystem& sys)
-      : n_(sys.n()),
-        w_(sys.w()),
-        nbufs_(sys.num_bufs()),
-        ring_size_(sys.ring_size()) {
-    history_.push_back(sys.current_value());
+  explicit OracleChecker(const SimWorkload<Object>& wl)
+      : lin_(wl.n(), kNone) {
+    record(wl);
   }
 
-  void on_step(const SimJpSystem& sys) {
+  void on_step(const SimWorkload<Object>& wl) {
     if (failed_) return;
     ++steps_seen_;
-    // Track the abstract state: one step can apply at most one successful
-    // SC, whose installed value is the new current buffer's content (the
-    // buffer is unwritable while current, so reading it now is exact).
-    if (sys.version() == history_.size()) {
-      history_.push_back(sys.current_value());
-    }
-    if (sys.version() + 1 != history_.size()) {
-      return fail("abstract version jumped: version=%llu history=%zu",
-                  ull(sys.version()), history_.size());
-    }
-    check_i1(sys);
-    check_i2(sys);
-    if (sys.ll_retries_total() > 0) {
-      return fail("defensive LL retry fired at step %llu — the 4W+12 "
-                  "help guarantee is broken",
-                  ull(steps_seen_));
-    }
+    record(wl);
   }
 
-  void on_op(const SimJpSystem& sys, const OpRecord& rec) {
+  void on_op(const SimWorkload<Object>&, const OpRecord& rec) {
     if (failed_) return;
-    (void)sys;
+    std::uint64_t& lin = lin_[rec.pid];
     switch (rec.type) {
       case OpType::kLl: {
-        if (rec.steps > SimJpSystem::ll_step_bound(n_, w_)) {
-          return fail("LL(p%u) took %u steps, over the 4W+12 bound of %u",
-                      rec.pid, rec.steps,
-                      SimJpSystem::ll_step_bound(n_, w_));
-        }
-        if (rec.lin_version < rec.start_version ||
-            rec.lin_version > rec.end_version) {
-          return fail(
-              "LL(p%u) linearization version %llu outside its window "
-              "[%llu, %llu]",
-              rec.pid, ull(rec.lin_version), ull(rec.start_version),
-              ull(rec.end_version));
-        }
-        if (rec.lin_version >= history_.size() ||
-            rec.value != history_[rec.lin_version]) {
+        const std::uint64_t v = version_of(rec.value);
+        if (v == kNone) {
           return fail("LL(p%u) returned a value that was never the "
-                      "variable's state at its claimed version %llu%s",
-                      rec.pid, ull(rec.lin_version),
-                      rec.helped ? " (helped path)" : "");
+                      "variable's state",
+                      rec.pid);
         }
+        if (v < rec.start_version || v > rec.end_version) {
+          return fail("LL(p%u) returned version %llu's value, outside its "
+                      "window [%llu, %llu]",
+                      rec.pid, ull(v), ull(rec.start_version),
+                      ull(rec.end_version));
+        }
+        lin = v;
         break;
       }
       case OpType::kSc: {
-        const bool should_succeed =
-            rec.had_link && rec.version_at_sc == rec.link_version;
-        if (rec.success != should_succeed) {
-          return fail(
-              "SC(p%u) %s but link_version=%llu version_at_sc=%llu "
-              "had_link=%d — SC failures must be semantic, never spurious",
-              rec.pid, rec.success ? "succeeded" : "failed",
-              ull(rec.link_version), ull(rec.version_at_sc),
-              rec.had_link ? 1 : 0);
-        }
         if (rec.success) {
-          const std::uint64_t installed = rec.version_at_sc + 1;
-          if (installed >= history_.size() ||
-              history_[installed] != rec.value) {
-            return fail("SC(p%u) succeeded but version %llu's abstract "
-                        "value is not the value it wrote",
-                        rec.pid, ull(installed));
+          const std::uint64_t u = version_of(rec.value);
+          if (lin == kNone || !rec.had_link || u == kNone || u != lin + 1 ||
+              u <= rec.start_version || u > rec.end_version) {
+            return fail("SC(p%u) succeeded but its value is not version "
+                        "LL+1 (LL version %llu, installed %llu, window "
+                        "[%llu, %llu])",
+                        rec.pid, ull(lin), ull(u), ull(rec.start_version),
+                        ull(rec.end_version));
           }
+        } else if (rec.had_link && lin != kNone &&
+                   rec.end_version == lin) {
+          return fail("SC(p%u) failed but no SC succeeded since its LL "
+                      "(version %llu) — SC failures must be semantic, "
+                      "never spurious",
+                      rec.pid, ull(lin));
         }
+        lin = kNone;  // the link is consumed either way
         break;
       }
       case OpType::kVl: {
-        const bool should_hold =
-            rec.had_link && rec.end_version == rec.link_version;
-        if (rec.success != should_hold) {
-          return fail("VL(p%u) returned %d but link_version=%llu "
-                      "version=%llu had_link=%d",
-                      rec.pid, rec.success ? 1 : 0, ull(rec.link_version),
-                      ull(rec.end_version), rec.had_link ? 1 : 0);
+        // True means X still held the LL's version at the VL's read, so
+        // no SC can have landed before the VL began; false with a link
+        // needs an SC to have landed by the time it returned.
+        const bool linked = rec.had_link && lin != kNone;
+        if (rec.success ? !(linked && rec.start_version == lin)
+                        : linked && rec.end_version == lin) {
+          return fail("VL(p%u) returned %d with LL version %llu, window "
+                      "[%llu, %llu], had_link=%d",
+                      rec.pid, rec.success ? 1 : 0, ull(lin),
+                      ull(rec.start_version), ull(rec.end_version),
+                      rec.had_link ? 1 : 0);
         }
         break;
       }
     }
+  }
+
+  /// A reissued pid has no link: its next SC/VL must fail.
+  void on_rebind(const SimWorkload<Object>&, std::uint32_t p) {
+    lin_[p] = kNone;
   }
 
   bool ok() const { return !failed_; }
   const std::string& error() const { return error_; }
 
- private:
+ protected:
+  static constexpr std::uint64_t kNone = ~std::uint64_t{0};
+
   static unsigned long long ull(std::uint64_t v) {
     return static_cast<unsigned long long>(v);
   }
 
-  void check_i1(const SimJpSystem& sys) {
-    owners_.assign(nbufs_, 0);
-    bump_owner(sys.current_buf());
+  template <typename... Args>
+  void fail(const char* fmt, Args... args) {
+    if (failed_) return;
+    char buf[320];
+    std::snprintf(buf, sizeof(buf), fmt, args...);
+    failed_ = true;
+    error_ = buf;
+  }
+
+  std::uint64_t steps_seen_ = 0;
+
+ private:
+  // Tracks the abstract state: one step applies at most one successful SC,
+  // whose value is the new current buffer's content (a buffer cannot be
+  // rewritten while current, so reading it now is exact).
+  void record(const SimWorkload<Object>& wl) {
+    const std::uint64_t v = wl.version();
+    if (v == versions_) {
+      auto ins = index_.emplace(Inspector<Object>::current_value(wl.object()),
+                                v);
+      if (!ins.second) {
+        return fail("version %llu installed a value already seen at "
+                    "version %llu",
+                    ull(v), ull(ins.first->second));
+      }
+      ++versions_;
+    } else if (v + 1 != versions_) {
+      fail("abstract version jumped: version=%llu, %llu recorded", ull(v),
+           ull(versions_));
+    }
+  }
+
+  std::uint64_t version_of(const std::vector<std::uint64_t>& value) const {
+    const auto it = index_.find(value);
+    return it == index_.end() ? kNone : it->second;
+  }
+
+  bool failed_ = false;
+  std::string error_;
+  std::uint64_t versions_ = 0;
+  std::map<std::vector<std::uint64_t>, std::uint64_t> index_;
+  std::vector<std::uint64_t> lin_;  ///< per pid: version of the last LL
+};
+
+/// Over either engine layout (Jp or JpPacked); JpChecker is the default.
+template <class Jp>
+class BasicJpChecker : public OracleChecker<Jp> {
+  using Base = OracleChecker<Jp>;
+  using Base::fail;
+  using Base::steps_seen_;
+  using Base::ull;
+  using Peek = Inspector<Jp>;
+
+ public:
+  using Base::ok;
+
+  explicit BasicJpChecker(const SimWorkload<Jp>& wl)
+      : Base(wl), n_(wl.n()), w_(wl.w()) {}
+
+  void on_step(const SimWorkload<Jp>& wl) {
+    Base::on_step(wl);
+    if (!ok()) return;
+    check_i1(wl.object());
+    check_i2(wl);
+    if (wl.object().stats().ll_retries > 0) {
+      fail("defensive LL retry fired at step %llu — the 4W+12 help "
+           "guarantee is broken",
+           ull(steps_seen_));
+    }
+  }
+
+  void on_op(const SimWorkload<Jp>& wl, const OpRecord& rec) {
+    if (rec.type == OpType::kLl && rec.steps > Jp::ll_step_bound(n_, w_)) {
+      return fail("LL(p%u) took %u steps, over the 4W+12 bound of %u",
+                  rec.pid, rec.steps, Jp::ll_step_bound(n_, w_));
+    }
+    Base::on_op(wl, rec);
+  }
+
+ private:
+  void check_i1(const Jp& o) {
+    const std::uint32_t nbufs = Peek::num_bufs(o);
+    owners_.assign(nbufs, 0);
+    bump_owner(Peek::current_buf(o), nbufs);
     for (std::uint32_t p = 0; p < n_; ++p) {
-      bump_owner(sys.spare_of(p));
-      bump_owner(sys.exchange_buf_of(p));
+      bump_owner(Peek::spare_of(o, p), nbufs);
+      bump_owner(Peek::exchange_buf_of(o, p), nbufs);
     }
-    for (std::uint32_t j = 0; j < ring_size_; ++j) {
-      bump_owner(sys.ring_buf(j));
+    for (std::uint32_t j = 0; j < Peek::ring_size(o); ++j) {
+      bump_owner(Peek::ring_buf(o, j), nbufs);
     }
-    for (std::uint32_t b = 0; b < nbufs_; ++b) {
+    for (std::uint32_t b = 0; b < nbufs; ++b) {
       if (owners_[b] != 1) {
         return fail("I1 violated at step %llu: buffer %u has %d owners "
                     "(want exactly 1: current, a spare, an exchange "
-                    "slot, or a ring cell)",
+                    "side, or a ring cell)",
                     ull(steps_seen_), b, owners_[b]);
       }
     }
   }
 
-  void bump_owner(std::uint32_t b) {
-    if (b < nbufs_) {
+  void bump_owner(std::uint32_t b, std::uint32_t nbufs) {
+    if (b < nbufs) {
       ++owners_[b];
     } else {
       fail("I1 violated: out-of-range buffer index %u", b);
     }
   }
 
-  void check_i2(const SimJpSystem& sys) {
-    // The ring resolution is its own step after the X SC, so completed
-    // plus in-flight bank writes must exactly cover the successful SCs.
-    if (sys.bank_writes_total() + sys.pending_bank_writes() !=
-            sys.version() ||
-        sys.sc_success_total() != sys.version()) {
+  void check_i2(const SimWorkload<Jp>& wl) {
+    const auto s = wl.object().stats();
+    std::uint64_t pending = 0;
+    for (std::uint32_t p = 0; p < n_; ++p) {
+      pending += Peek::retire_pending(wl.object(), p) ? 1 : 0;
+    }
+    if (s.bank_writes + pending != s.sc_success ||
+        s.sc_success != wl.version()) {
       fail("I2 violated at step %llu: %llu+%llu bank writes "
            "(done+pending), %llu successful SCs, version %llu (want one "
            "bank write per successful SC)",
-           ull(steps_seen_), ull(sys.bank_writes_total()),
-           ull(sys.pending_bank_writes()), ull(sys.sc_success_total()),
-           ull(sys.version()));
+           ull(steps_seen_), ull(s.bank_writes), ull(pending),
+           ull(s.sc_success), ull(wl.version()));
     }
-  }
-
-  template <typename... Args>
-  void fail(const char* fmt, Args... args) {
-    if (failed_) return;
-    char buf[256];
-    std::snprintf(buf, sizeof(buf), fmt, args...);
-    failed_ = true;
-    error_ = buf;
   }
 
   std::uint32_t n_;
   std::uint32_t w_;
-  std::uint32_t nbufs_;
-  std::uint32_t ring_size_;
-  std::uint64_t steps_seen_ = 0;
-  bool failed_ = false;
-  std::string error_;
-  std::vector<std::vector<std::uint64_t>> history_;  ///< version -> value
   std::vector<int> owners_;  ///< scratch for the I1 ownership census
 };
 
-/// The strongest checker available for a system, picked by overload: the
-/// full invariant checker for the jp step machine, NullChecker for systems
-/// whose internals no checker models yet. Drivers and tests share this so
-/// adding a checker upgrades every call site at once. Call it on the
-/// workload's own system (wl.system()) — never on a moved-from shell.
-inline JpInvariantChecker make_checker(const SimJpSystem& sys) {
-  return JpInvariantChecker(sys);
-}
-template <class System>
-NullChecker make_checker(const System&) {
-  return NullChecker{};
-}
+using JpChecker = BasicJpChecker<Jp>;
+
+/// The strongest checker for an object: JpChecker for the paper's
+/// protocol, the linearizability oracle for the baselines.
+template <class Object>
+struct CheckerFor {
+  using type = OracleChecker<Object>;
+};
+template <class LLSC>
+struct CheckerFor<core::MwLLSC<LLSC, Memory>> {
+  using type = BasicJpChecker<core::MwLLSC<LLSC, Memory>>;
+};
+
+template <class Object>
+using CheckerOf = typename CheckerFor<Object>::type;
 
 }  // namespace mwllsc::sim

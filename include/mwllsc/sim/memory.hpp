@@ -1,0 +1,123 @@
+// The simulator's shared-memory policy. The shipped protocols (core/,
+// baseline/) are templates over a policy supplying Atomic<T> and Plain<T>;
+// instantiated with sim::Memory, every load, store and CAS they make first
+// calls into the harness (sim/harness.hpp), which may park the calling
+// process right there and run another one. One access is one step, so the
+// step counts the harness reports are counts of the shipped code's shared
+// accesses.
+//
+// All simulated processes run on one thread, so the cells are plain values;
+// memory orders are accepted and ignored (the simulator explores
+// sequentially consistent interleavings). Accesses made outside a
+// simulated process (construction, the invariant checker's peek()) are not
+// scheduling points.
+#pragma once
+
+#include <atomic>
+#include <cstdint>
+
+#include "core/llsc.hpp"
+
+namespace mwllsc::sim {
+
+enum class Access : std::uint8_t { kLoad, kStore, kRmw };
+
+namespace detail {
+
+/// The harness side of the policy: told about each access before it runs.
+class AccessSink {
+ public:
+  virtual void before_access(const void* cell, Access kind) = 0;
+
+ protected:
+  ~AccessSink() = default;
+};
+
+/// The process running on this thread, or null outside a simulated process.
+inline AccessSink*& running() {
+  static thread_local AccessSink* sink = nullptr;
+  return sink;
+}
+
+inline void access(const void* cell, Access kind) {
+  if (AccessSink* s = running()) s->before_access(cell, kind);
+}
+
+}  // namespace detail
+
+template <class T>
+class SimAtomic {
+ public:
+  SimAtomic() = default;
+  SimAtomic(const SimAtomic&) = delete;
+  SimAtomic& operator=(const SimAtomic&) = delete;
+
+  T load(std::memory_order) const {
+    detail::access(this, Access::kLoad);
+    return v_;
+  }
+  void store(T v, std::memory_order) {
+    detail::access(this, Access::kStore);
+    v_ = v;
+  }
+  bool compare_exchange_strong(T& expected, T desired, std::memory_order) {
+    detail::access(this, Access::kRmw);
+    if (v_ == expected) {
+      v_ = desired;
+      return true;
+    }
+    expected = v_;
+    return false;
+  }
+  bool compare_exchange_strong(T& expected, T desired, std::memory_order o,
+                               std::memory_order) {
+    return compare_exchange_strong(expected, desired, o);
+  }
+  /// Never fails spuriously: schedules, not the hardware, decide outcomes.
+  bool compare_exchange_weak(T& expected, T desired, std::memory_order o) {
+    return compare_exchange_strong(expected, desired, o);
+  }
+
+  /// The current value, without a scheduling point (checker use only).
+  T peek() const { return v_; }
+
+ private:
+  T v_{};
+};
+
+/// A shared non-atomic word (the am baseline's handoff rows): reads and
+/// writes through it are scheduling points like atomic accesses.
+template <class T>
+class SimPlain {
+ public:
+  SimPlain() = default;
+  SimPlain(const SimPlain&) = delete;
+  SimPlain& operator=(const SimPlain&) = delete;
+
+  operator T() const {
+    detail::access(this, Access::kLoad);
+    return v_;
+  }
+  SimPlain& operator=(T v) {
+    detail::access(this, Access::kStore);
+    v_ = v;
+    return *this;
+  }
+
+ private:
+  T v_{};
+};
+
+struct Memory {
+  template <class T>
+  using Atomic = SimAtomic<T>;
+  template <class T>
+  using Plain = SimPlain<T>;
+};
+
+/// The single-word engines under simulation, sim memory: Dw128's layout
+/// (the default) and Packed64's 32+32-bit layout.
+using Engine = llsc::detail::SeqTagLLSC<unsigned __int128, 64, Memory>;
+using PackedEngine = llsc::detail::SeqTagLLSC<std::uint64_t, 32, Memory>;
+
+}  // namespace mwllsc::sim

@@ -101,8 +101,8 @@ void lf_counter_for(const core::MwLLSCFactory& f) {
 // Deterministic help-all exercise via the step hook (the MT stress above
 // relies on the OS preempting inside an LL..SC window, which a single-core
 // machine may never do): park p0 at an exact protocol point and reentrantly
-// drive p1's apply from the hook, exactly like test_help_path does for the
-// core protocol.
+// drive p1's apply from the hook. (The core protocol's equivalent runs as
+// directed simulator schedules in test_help_path.)
 struct DetHook {
   WfCounter* obj;
   const char* stall_point;

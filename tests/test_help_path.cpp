@@ -1,8 +1,8 @@
-// Deterministic exercise of the full protocol's help machinery, via the
-// step hook. With N = 2 the probe window is P = 2, so aged validation
-// tolerates a drift of up to 2 successful SCs; the hook stalls a reader
-// right after it links X and drives the other process through a chosen
-// number of successful SCs:
+// Deterministic exercise of the full protocol's help machinery, as directed
+// schedules in the simulator on the shipped core::MwLLSC. With N = 2 the
+// probe window is P = 2, so aged validation tolerates a drift of up to 2
+// successful SCs; the schedule stalls reader p0 right after it links X and
+// drives p1 through a chosen number of successful LL;SC rounds:
 //
 //   1 SC  -> drift 1: aged validation passes, no donation was posted (the
 //            winner of tag 1 probes its own slot), the reader returns the
@@ -14,160 +14,136 @@
 //   3 SCs -> drift 3 > P: validation fails and the reader must find the
 //            donation already posted (the 4W+12 guarantee), returning the
 //            value that was current at the donor's help validation — what
-//            the donor's own LL read before its donating SC.
+//            the donor's own LL read before its donating SC — in exactly
+//            2W+4 accesses.
 //
-// In every case the object must stay fully functional afterwards: the
-// ownership exchanges preserved the buffer accounting.
+// In every case the reader's link is broken (its SC fails), and the object
+// stays fully functional afterwards: the JpChecker holds I1, I2 and the
+// oracle through the rest of both scripts. Every scenario runs on both
+// engine layouts: Jp (Dw128's 64+64 bits) and JpPacked (Packed64's 32+32).
 #include <cstdint>
-#include <cstring>
+#include <cstdio>
 #include <vector>
 
-#include "core/mwllsc.hpp"
+#include "sim/harness.hpp"
+#include "sim/invariants.hpp"
 #include "test_check.hpp"
 
 using namespace mwllsc;
+using namespace mwllsc::sim;
 
 namespace {
 
 constexpr std::uint32_t kW = 4;
 
-template <class Engine>
-struct HookState {
-  core::MwLLSC<Engine>* obj = nullptr;
-  std::uint32_t sc_rounds = 0;  // successful SCs to inject at ll:read_x
-  bool fired = false;
-  std::vector<std::uint64_t> before_donating_sc;  // value a rescue returns
+struct Outcome {
+  OpRecord ll;                                   // the stalled reader's LL
+  std::vector<std::vector<std::uint64_t>> vals;  // version -> value
+  core::OpStatsSnapshot stats;                   // right after that LL
 };
 
-template <class Engine>
-void interfere(void* ctx, const char* point, std::uint32_t pid) {
-  auto* st = static_cast<HookState<Engine>*>(ctx);
-  if (st->fired || pid != 0) return;
-  if (std::strcmp(point, "ll:read_x") != 0) return;
-  st->fired = true;  // no reentrant interference from pid 1's own ops
-  // The winner of tag U probes slot U mod 2: tags 1 and 3 probe pid 1's
-  // own slot (no-op), tag 2 probes the stalled reader's slot 0 and
-  // donates there, pre-SC.
-  std::vector<std::uint64_t> v(kW);
-  for (std::uint64_t round = 1; round <= st->sc_rounds; ++round) {
-    st->obj->ll(1, v.data());
-    if (st->obj->stats().helps_given == 0) st->before_donating_sc = v;
-    for (std::uint32_t i = 0; i < kW; ++i) v[i] = 100 * round + i;
-    CHECK(st->obj->sc(1, v.data()));
-  }
-}
+template <class Obj>
+Outcome stalled_ll(std::uint32_t sc_rounds) {
+  WorkloadConfig cfg;
+  cfg.ops_per_proc = 4;
+  cfg.vl_percent = 0;
+  SimWorkload<Obj> wl(2, kW, cfg);
+  CheckerOf<Obj> chk(wl);
+  Outcome out;
+  out.vals.push_back(Inspector<Obj>::current_value(wl.object()));
 
-/// Runs LL(0) with `sc_rounds` successful SCs injected after its X link;
-/// returns the value the LL produced.
-template <class Engine>
-std::vector<std::uint64_t> stalled_ll(core::MwLLSC<Engine>& obj,
-                                      HookState<Engine>& st,
-                                      std::uint32_t sc_rounds) {
-  st.obj = &obj;
-  st.sc_rounds = sc_rounds;
-  st.fired = false;
-  obj.set_step_hook(&interfere<Engine>, &st);
-  std::vector<std::uint64_t> out(kW);
-  obj.ll(0, out.data());
-  obj.set_step_hook(nullptr, nullptr);
-  CHECK(st.fired);
+  // p0: announce, then link X — parked before its first copy load.
+  wl.step(0, chk);
+  wl.step(0, chk);
+  // p1: sc_rounds complete LL;SC rounds.
+  while (wl.object().stats().sc_success < sc_rounds) {
+    const std::uint64_t before = wl.version();
+    wl.step(1, chk);
+    if (wl.version() != before) {
+      out.vals.push_back(Inspector<Obj>::current_value(wl.object()));
+    }
+  }
+  while (!wl.at_boundary(1)) wl.step(1, chk);
+  // p0 finishes its LL.
+  while (!wl.at_boundary(0)) wl.step(0, chk);
+  out.ll = wl.last_op(0);
+  out.stats = wl.object().stats();
+  CHECK(out.ll.type == OpType::kLl);
+
+  // The reader's SC fails in O(1): a successful SC intervened.
+  wl.step(0, chk);
+  CHECK(wl.last_op(0).type == OpType::kSc);
+  CHECK(!wl.last_op(0).success);
+  CHECK_EQ(wl.last_op(0).steps, 0u);
+
+  // Still fully functional: both scripts run to completion under the
+  // full checker.
+  while (!wl.done()) {
+    for (std::uint32_t p = 0; p < 2; ++p) {
+      if (!wl.proc_done(p)) wl.step(p, chk);
+    }
+  }
+  if (!chk.ok()) std::fprintf(stderr, "checker: %s\n", chk.error().c_str());
+  CHECK(chk.ok());
+  CHECK(wl.object().stats().sc_success > sc_rounds);
   return out;
 }
 
 // Drift 3 > P: the rescue path. The reader must return the donated
 // snapshot with the helped/rescue/help-install counters firing exactly
 // once, and the defensive retry arm must never run.
-template <class Engine>
+template <class Obj>
 void rescue_path() {
-  core::MwLLSC<Engine> obj(2, kW);
-  HookState<Engine> st;
-  const auto out = stalled_ll(obj, st, 3);
-
-  const auto s = obj.stats();
-  CHECK_EQ(s.helps_given, 1u);
-  CHECK_EQ(s.ll_helped, 1u);
-  CHECK_EQ(s.ll_used_helped_value, 1u);
-  CHECK_EQ(s.ll_retries, 0u);
-  CHECK_EQ(s.bank_writes, 3u);
-
-  // The rescue returned the value current at the donor's help validation
-  // — exactly what the donor's LL read before its donating SC.
-  CHECK(out == st.before_donating_sc);
-  CHECK_EQ(out[0], 100u);
-
-  // A helped LL's link is already broken: an SC succeeded meanwhile.
-  std::vector<std::uint64_t> tmp = out;
-  CHECK(!obj.vl(0));
-  CHECK(!obj.sc(0, tmp.data()));
-
-  // The ownership exchanges must leave the buffer pool consistent: both
-  // processes keep operating and observe each other's updates.
-  std::vector<std::uint64_t> v(kW);
-  for (std::uint64_t i = 1; i <= 200; ++i) {
-    const std::uint32_t p = i & 1;
-    obj.ll(p, v.data());
-    const std::uint64_t expect_base = v[0];
-    for (std::uint32_t k = 0; k < kW; ++k) CHECK_EQ(v[k], expect_base + k);
-    for (std::uint32_t k = 0; k < kW; ++k) v[k] = 1000 + i + k;
-    CHECK(obj.sc(p, v.data()));
-  }
-  obj.ll(0, v.data());
-  CHECK_EQ(v[0], 1200u);
+  const Outcome o = stalled_ll<Obj>(3);
+  CHECK_EQ(o.stats.helps_given, 1u);
+  CHECK_EQ(o.stats.ll_helped, 1u);
+  CHECK_EQ(o.stats.ll_used_helped_value, 1u);
+  CHECK_EQ(o.stats.ll_retries, 0u);
+  CHECK_EQ(o.stats.bank_writes, 3u);
+  // The donor of tag 2 read version 1 in its LL: that is what the rescue
+  // returns, after exactly 2W+4 shared accesses.
+  CHECK(o.ll.value == o.vals[1]);
+  CHECK_EQ(o.ll.steps, 2 * kW + 4);
 }
 
 // Drift 2 = P: aged validation still passes — the linked buffer sat in
 // the ring, unrecycled — but a donation raced in, so the withdraw CAS
 // fails and the reader adopts the donated buffer without using its value.
-template <class Engine>
+template <class Obj>
 void aged_pass_with_donation() {
-  core::MwLLSC<Engine> obj(2, kW);
-  HookState<Engine> st;
-  const auto out = stalled_ll(obj, st, 2);
-
-  for (auto x : out) CHECK_EQ(x, 0u);  // the linked (initial) snapshot
-  const auto s = obj.stats();
-  CHECK_EQ(s.helps_given, 1u);
-  CHECK_EQ(s.ll_helped, 1u);
-  CHECK_EQ(s.ll_used_helped_value, 0u);
-  CHECK_EQ(s.ll_retries, 0u);
-  CHECK(!obj.vl(0));  // drift broke the link even though the value stands
-
-  // Still fully functional.
-  std::vector<std::uint64_t> v(kW);
-  obj.ll(1, v.data());
-  CHECK_EQ(v[0], 200u);
-  v[0] = 777;
-  CHECK(obj.sc(1, v.data()));
+  const Outcome o = stalled_ll<Obj>(2);
+  CHECK(o.ll.value == o.vals[0]);  // the linked (initial) snapshot
+  CHECK_EQ(o.stats.helps_given, 1u);
+  CHECK_EQ(o.stats.ll_helped, 1u);
+  CHECK_EQ(o.stats.ll_used_helped_value, 0u);
+  CHECK_EQ(o.stats.ll_retries, 0u);
+  CHECK_EQ(o.ll.steps, kW + 4);
 }
 
 // Drift 1 < P with no donation (tag 1's winner probes its own slot): the
 // plain aged-validation pass, clean withdraw.
-template <class Engine>
+template <class Obj>
 void aged_pass_plain() {
-  core::MwLLSC<Engine> obj(2, kW);
-  HookState<Engine> st;
-  const auto out = stalled_ll(obj, st, 1);
-
-  for (auto x : out) CHECK_EQ(x, 0u);
-  const auto s = obj.stats();
-  CHECK_EQ(s.helps_given, 0u);
-  CHECK_EQ(s.ll_helped, 0u);
-  CHECK_EQ(s.ll_retries, 0u);
-  CHECK(!obj.vl(0));
-}
-
-template <class Engine>
-void help_path_for() {
-  rescue_path<Engine>();
-  aged_pass_with_donation<Engine>();
-  aged_pass_plain<Engine>();
+  const Outcome o = stalled_ll<Obj>(1);
+  CHECK(o.ll.value == o.vals[0]);
+  CHECK_EQ(o.stats.helps_given, 0u);
+  CHECK_EQ(o.stats.ll_helped, 0u);
+  CHECK_EQ(o.stats.ll_retries, 0u);
+  CHECK_EQ(o.ll.steps, kW + 4);
 }
 
 }  // namespace
 
+template <class Obj>
+void all_scenarios() {
+  rescue_path<Obj>();
+  aged_pass_with_donation<Obj>();
+  aged_pass_plain<Obj>();
+}
+
 int main() {
-  help_path_for<llsc::Dw128LLSC>();
-  help_path_for<llsc::Packed64LLSC>();
+  all_scenarios<Jp>();
+  all_scenarios<JpPacked>();
   std::printf("test_help_path: OK\n");
   return 0;
 }

@@ -61,6 +61,9 @@ void expect_single(const char* file, const char* rule) {
 
 void test_fixture_corpus() {
   expect_single("bad_r1.hpp", "R1");
+  // The protocols reach memory through a policy's Atomic<T>; the lint must
+  // still see such a declaration, or operator sugar on it goes unflagged.
+  expect_single("bad_r1_policy.hpp", "R1");
   expect_single("bad_r2.hpp", "R2");
   expect_single("obs/bad_r3.hpp", "R3");
   expect_single("bad_r4.hpp", "R4");

@@ -1,13 +1,11 @@
 // The process lifecycle layer (DESIGN.md §10): SlotRegistry state machine,
 // ProcessSlot RAII, ManagedMwLLSC join/retire/crash-reclaim over the real
-// protocol object, graceful degradation under slot exhaustion, the
-// withdraw-vs-reclaim race in core ll(), lifecycle trace events through
-// the offline checker, and a multithreaded churn run (threads > slots)
+// protocol object, graceful degradation under slot exhaustion, lifecycle
+// trace events through the offline checker, and a multithreaded churn run (threads > slots)
 // with cooperative crashes and a maintenance reclaimer.
 // Compiled with MWLLSC_TRACE so the lifecycle events are observable.
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -233,45 +231,6 @@ void orphan_reclaim_on_join() {
   CHECK_EQ(v[0], 1u);
 }
 
-// The withdraw-vs-reclaim race in core ll(): a "zombie" whose pid is
-// reclaimed between its announce and its withdraw must take the tolerant
-// branch — link broken, no assert, subsequent SC fails semantically.
-struct ReclaimRaceState {
-  Jp* obj = nullptr;
-  std::uint32_t zombie = 0;
-  bool fired = false;
-};
-
-void reclaim_race_hook(void* ctx, const char* point, std::uint32_t pid) {
-  auto* st = static_cast<ReclaimRaceState*>(ctx);
-  if (st->fired || pid != st->zombie) return;
-  if (std::strcmp(point, "ll:announced") != 0) return;
-  st->fired = true;
-  // Simulate the reclaimer concluding this pid is dead exactly between
-  // its announce and its withdraw.
-  st->obj->reclaim_pid(st->zombie);
-}
-
-void withdraw_reclaim_race() {
-  Jp obj(2, 2);
-  ReclaimRaceState st{&obj, 0, false};
-  obj.set_step_hook(&reclaim_race_hook, &st);
-  std::vector<std::uint64_t> v(2);
-  obj.ll(0, v.data());
-  obj.set_step_hook(nullptr, nullptr);
-  CHECK(st.fired);
-  // The zombie's link is gone (its announce was withdrawn by proxy); its
-  // SC must fail semantically, not corrupt the help machinery.
-  CHECK(!obj.vl(0));
-  CHECK(!obj.sc(0, v.data()));
-  // The object stays fully functional for the other pid.
-  obj.ll(1, v.data());
-  v[0] = 5;
-  CHECK(obj.sc(1, v.data()));
-  obj.ll(1, v.data());
-  CHECK_EQ(v[0], 5u);
-}
-
 // ------------------------------------------------------- lifecycle traces
 
 void traced_lifecycle() {
@@ -404,19 +363,18 @@ void mt_churn() {
   constexpr unsigned kSessions = 60;
   constexpr unsigned kOpsPerSession = 25;
 
-  Managed m(kSlots, 2, /*suspect_scans=*/1000000);  // staleness disarmed
+  Managed m(kSlots, 2);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> abandons{0};
 
-  // Maintenance reclaimer: orphan-only sweeps (heartbeat condemnation is
-  // deliberately disarmed — threads here can be descheduled arbitrarily,
-  // exactly the false-positive scenario the policy knob exists for).
+  // Maintenance reclaimer: reclaim_scan() only takes abandoned slots, so
+  // threads descheduled for arbitrarily long are never condemned.
   std::thread reaper([&] {
     while (!stop.load(std::memory_order_acquire)) {
-      m.reclaim_scan(/*include_stale=*/false);
+      m.reclaim_scan();
       std::this_thread::yield();
     }
-    m.reclaim_scan(/*include_stale=*/false);
+    m.reclaim_scan();
   });
 
   std::vector<std::thread> pool;
@@ -494,7 +452,6 @@ int main() {
   managed_basic();
   degraded_path();
   orphan_reclaim_on_join();
-  withdraw_reclaim_race();
   traced_lifecycle();
   checker_lifecycle_rules();
   mt_churn();
