@@ -2,6 +2,8 @@
 //
 // Measures, for the paper's algorithm, how often the helping machinery
 // actually fires as contention and W grow:
+//   * slow LLs          — the unannounced first attempt failed, so the LL
+//                         announced and asked for help,
 //   * helped LLs        — Line 4 found a helper's buffer waiting,
 //   * line-7 rescues    — the LL actually *returned* the handed value,
 //   * help installs     — SCs that performed the ownership exchange,
@@ -34,7 +36,7 @@ int main(int argc, char** argv) {
       "SCs)\n\n");
 
   for (std::uint32_t w : {4u, 64u}) {
-    TablePrinter table({"threads", "helped LLs", "line-7 rescues",
+    TablePrinter table({"threads", "slow LLs", "helped LLs", "line-7 rescues",
                         "help installs", "bank fixups", "sc success %"});
     for (unsigned t : thread_counts) {
       auto obj = bench::factory_by_name("jp").make(t, w);
@@ -52,6 +54,8 @@ int main(int argc, char** argv) {
               : 0;
       table.add_row(
           {TablePrinter::num(std::size_t{t}),
+           TablePrinter::num(static_cast<double>(r.stats.ll_slow) * per_kll,
+                             2),
            TablePrinter::num(static_cast<double>(r.stats.ll_helped) * per_kll,
                              2),
            TablePrinter::num(

@@ -7,7 +7,8 @@
 // runs seeded-random and anti-adversarial schedules and reports the MAXIMUM
 // steps any single LL took. jp's worst LL must stay within the 4W+12 bound
 // of Theorem 1, independent of N (its implementation's worst case is
-// 2W+4). am stays under its O(N·W) announce/help bound (N+3)(W+3)+2W+4;
+// 3W+6: a failed unannounced attempt, then a rescued announced one). am
+// stays under its O(N·W) announce/help bound (N+3)(W+3)+2W+4;
 // retry's worst LL grows with however long the adversary cares to run —
 // the observable difference between wait-free and merely lock-free. Both
 // bounds live next to their protocols (ll_step_bound). Any cell where a

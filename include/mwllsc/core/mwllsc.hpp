@@ -12,31 +12,41 @@
 // its sequence tag is the abstract version: tag T's value is whatever the
 // T-th successful SC installed.
 //
-// Fast path with aged validation. LL(p) announces, links X (tag T, buffer
-// b), copies b, then re-reads X's tag: the snapshot is accepted if the tag
-// advanced by AT MOST P. This is safe because retired buffers pass through
-// the ring and are only reused once at least R >= P further SCs have
-// succeeded: a buffer current at tag T is not rewritten until the global
-// tag exceeds T+P, and any rewrite concurrent with the copy forces the
-// validation to observe drift > P and reject. A snapshot accepted with
-// drift in [1, P] is still exactly version T's value and linearizes at the
-// link instant; only drift 0 leaves the SC link intact (link_valid).
+// Fast path with aged validation. LL(p) first links X (tag T, buffer b),
+// copies b, then re-reads X's tag, announcing nothing: the snapshot is
+// accepted if the tag advanced by AT MOST P. This is safe because retired
+// buffers pass through the ring and are only reused once at least R >= P
+// further SCs have succeeded: a buffer current at tag T is not rewritten
+// until the global tag exceeds T+P (a writer lapped in the ring keeps the
+// same bound), and any rewrite concurrent with the copy forces the
+// validation to observe drift > P and reject. None of this involves the
+// announce, so a passing first attempt is final — no announce store, no
+// withdraw CAS. A snapshot accepted with drift in [1, P] is still exactly
+// version T's value and linearizes at the link; only drift 0 leaves the
+// SC link intact (link_valid). Asking for help only after a cheap attempt
+// fails is the fast-path/slow-path method (Brown's thesis, PAPERS.md).
 //
-// Help path, pre-SC. If validation fails (drift >= P+1), at least P
-// successful SCs linked X *after* p's announce. The winner installing tag
-// U probes announce slot U mod P before its SC, so those P consecutive
-// winners sweep every slot including p's; a prober that finds p WAITING
-// copies the current buffer into its own exchange buffer, re-validates its
-// link (strict: the copy is untorn and the value is current at an instant
+// Slow path. If the first attempt sees drift > P, LL bumps its seq,
+// announces (offering its exchange buffer) and runs the paper's announced
+// attempt: link, copy, aged validation again, then withdraw the announce.
+//
+// Help path, pre-SC. If the announced attempt's validation fails (drift
+// >= P+1), at least P successful SCs linked X *after* p's announce — the
+// slow path announces before it links. The winner installing tag U probes
+// announce slot U mod P before its SC, so those P consecutive winners
+// sweep every slot including p's; a prober that finds p WAITING copies the
+// current buffer into its own exchange buffer, re-validates its link
+// (strict: the copy is untorn and the value is current at an instant
 // inside p's LL — the prober wins its SC, so its link held throughout),
 // and CASes A[p] from the exact WAITING word to <HELPED, copy, seq>,
 // taking p's offered exchange buffer in return. Because the mark lands
 // before the helper's SC installs, it is complete before p's validation
 // can fail — so a failed validation finds HELPED already posted, and LL
-// finishes by copying the donated buffer: announce (1) + link (1) + copy
-// (W) + validate (1) + check A[p] (1) + donated copy (W) = 2W+4 <= 4W+12
-// accesses, with no retry loop at all. (A defensive retry remains for
-// robustness; tests assert it never fires.)
+// finishes by copying the donated buffer. Worst case: failed first
+// attempt (link 1 + copy W + validate 1) + announce (1) + link (1) + copy
+// (W) + validate (1) + check A[p] (1) + donated copy (W) = (W+2) + (2W+4)
+// = 3W+6 <= 4W+12 accesses, with no retry loop at all. (A defensive retry
+// remains for robustness; tests assert it never fires.)
 //
 // Retirement ring. A successful SC retires the previously-current buffer
 // into ring cell (T+1) mod R — <buf, tag T+1> — taking the cell's old
@@ -47,13 +57,15 @@
 // is a distinct slower winner resolving), and exactly one ring resolution
 // — the "bank write" of invariant I2 — happens per successful SC.
 //
-// Linearization. A fast-path LL linearizes at its X link; a helped LL at
-// the donor's help-validation instant (inside p's LL window). A helped or
-// drifted LL returns with its link broken: VL reports false and SC fails
-// in O(1), which is semantically exact — a successful SC intervened.
+// Linearization. An LL that returns its own copy linearizes at the X link
+// of the attempt that passed; a helped LL at the donor's help-validation
+// instant (inside p's LL window). A helped or drifted LL returns with its
+// link broken: VL reports false and SC fails in O(1), which is
+// semantically exact — a successful SC intervened.
 //
 // Crash-stop reclamation (reclaim_pid, DESIGN.md §10). A process that died
-// at a step boundary may leave three obligations: a posted announce
+// at a step boundary (the fast attempt writes nothing shared, so only the
+// slow path and SC matter) may leave three obligations: a posted announce
 // (withdrawn), an unconsumed donation (adopted into its exchange side), and
 // a successful SC whose ring swap never ran (settled on its behalf).
 // Priv::announced marks the LL window in which the slot word, not xbuf,
@@ -88,7 +100,9 @@ class MwLLSC {
 
  public:
   /// Theorem 1's LL step bound: no LL takes more than 4W+12 shared-memory
-  /// accesses (the implementation's worst case is 2W+4), independent of N.
+  /// accesses, independent of N. The implementation's worst case is 3W+6:
+  /// a failed unannounced attempt (W+2) then a rescued announced one
+  /// (2W+4).
   static constexpr std::uint32_t ll_step_bound(std::uint32_t /*n*/,
                                                std::uint32_t w) {
     return 4 * w + 12;
@@ -140,87 +154,88 @@ class MwLLSC {
     assert(p < n_);
     Priv& me = priv_[p];
     auto& c = stats_.at(p);
-    me.seq = (me.seq + 1) & kSeqMask;  // the announce word holds 44 bits
-    me.announced = true;
-    // Announce, offering our exchange buffer to a prospective helper.
-    // mwllsc-ordering: seq_cst(this store and the winners' pre-SC probes
-    // of A[(T+1) mod P] share one total order, so a winner that misses
-    // the announce must have linked before it — bounding drift at P tags)
-    announce_[p].a.store(pack_a(kWaiting, me.xbuf, me.seq),
-                         std::memory_order_seq_cst);
     trace_.emit(obs::EventKind::kLlStart, p, me.seq);
-    for (;;) {
-      const std::uint64_t x = x_.ll(p);
-      const std::uint64_t t0 = x_.linked_tag(p);
-      const std::uint32_t b = buf_of_x(x);
-      copy_out(b, out);
-      std::atomic_thread_fence(std::memory_order_acquire);
-      const std::uint64_t drift = x_.current_tag() - t0;
-      if (drift <= p2_) {
-        // Aged validation passed: buffers rest >= R >= P tags in the ring
-        // before reuse, so the copy is an untorn snapshot of version t0,
-        // linearized at the link. Withdraw the announce.
-        // The withdraw races a winner's donation CAS on this slot; the
-        // total order picks exactly one side of the ownership exchange.
-        // mwllsc-ordering: seq_cst(withdraw vs donation CAS, one winner)
-        std::uint64_t expect = pack_a(kWaiting, me.xbuf, me.seq);
-        bool reclaimed = false;
-        if (!announce_[p].a.compare_exchange_strong(
-                expect, pack_a(kIdle, me.xbuf, me.seq),
-                std::memory_order_seq_cst)) {
-          if (state_of_a(expect) == kHelped && seq_of_a(expect) == me.seq) {
-            // A donation raced in. The fast-path value stands; adopt the
-            // donated buffer as our new exchange buffer — the donor took
-            // the one we offered.
-            me.xbuf = buf_of_a(expect);
-            c.bump(c.ll_helped);
-            trace_.emit(obs::EventKind::kLlHelped, p, me.seq,
-                        buf_of_a(expect));
-          } else {
-            // The word no longer carries our seq: a crash-stop reclaim
-            // (reclaim_pid) judged this process dead and withdrew the
-            // announce out from under it. The fast-path value is still an
-            // untorn snapshot, but the slot — and the exchange buffer
-            // folded into its word — belong to the reclaimer now, so the
-            // only safe exit is to break the link and finish this op.
-            // Reached only when a reclaimed process is resurrected under
-            // test control; a genuinely dead process never gets here.
-            reclaimed = true;
-          }
+    // Fast attempt, unannounced. Aged validation never relied on the
+    // announce, so a pass is final: no announce store, no withdraw CAS.
+    std::uint32_t b;
+    std::uint64_t t0;
+    std::uint64_t drift = link_and_copy(p, out, &b, &t0);
+    bool reclaimed = false;
+    if (drift > p2_) {
+      // More than P SCs landed during the attempt: ask for help. Announce,
+      // offering our exchange buffer to a prospective helper, then run the
+      // paper's announced attempt.
+      c.bump(c.ll_slow);
+      me.seq = (me.seq + 1) & kSeqMask;  // the announce word holds 44 bits
+      me.announced = true;
+      // mwllsc-ordering: seq_cst(this store and the winners' pre-SC probes
+      // of A[(T+1) mod P] share one total order, so a winner that misses
+      // the announce must have linked before it — bounding drift at P tags)
+      announce_[p].a.store(pack_a(kWaiting, me.xbuf, me.seq),
+                           std::memory_order_seq_cst);
+      trace_.emit(obs::EventKind::kLlSlow, p, me.seq);
+      while ((drift = link_and_copy(p, out, &b, &t0)) > p2_) {
+        // Drift >= P+1: the P winners that linked after our announce swept
+        // every announce slot pre-SC, so a donation is already posted.
+        // mwllsc-ordering: seq_cst(this load sits in the same total order
+        // as the announce store and the winners' probes — the sweep
+        // argument only holds inside that order)
+        const std::uint64_t a = announce_[p].a.load(std::memory_order_seq_cst);
+        if (state_of_a(a) == kHelped && seq_of_a(a) == me.seq) {
+          // Return the donated snapshot. We own the buffer now; no
+          // validation needed.
+          const std::uint32_t d = buf_of_a(a);
+          copy_out(d, out);
+          me.xbuf = d;
+          me.announced = false;
+          me.link_valid = false;  // a successful SC already intervened
+          c.bump(c.ll_helped);
+          c.bump(c.ll_used_helped_value);
+          c.bump(c.ll_ops);
+          trace_.emit(obs::EventKind::kLlRescue, p, me.seq, d);
+          return;
         }
-        me.announced = false;
-        me.ll_buf = b;
-        // Any drift already broke the link; so does a raced reclaim.
-        me.link_valid = (drift == 0) && !reclaimed;
-        c.bump(c.ll_ops);
-        trace_.emit(obs::EventKind::kLlFast, p, t0, b);
-        return;
+        // Unreachable if the help guarantee holds (tests assert this
+        // counter stays zero); kept as a defensive retry.
+        c.bump(c.ll_retries);
+        trace_.emit(obs::EventKind::kLlRetry, p, me.seq);
       }
-      // Drift >= P+1: the P winners that linked after our announce swept
-      // every announce slot pre-SC, so a donation is already posted.
-      // mwllsc-ordering: seq_cst(this load sits in the same total order as
-      // the announce store and the winners' probes — the sweep argument
-      // only holds inside that order)
-      const std::uint64_t a = announce_[p].a.load(std::memory_order_seq_cst);
-      if (state_of_a(a) == kHelped && seq_of_a(a) == me.seq) {
-        // Return the donated snapshot. We own the buffer now; no
-        // validation needed.
-        const std::uint32_t d = buf_of_a(a);
-        copy_out(d, out);
-        me.xbuf = d;
-        me.announced = false;
-        me.link_valid = false;  // a successful SC already intervened
-        c.bump(c.ll_helped);
-        c.bump(c.ll_used_helped_value);
-        c.bump(c.ll_ops);
-        trace_.emit(obs::EventKind::kLlRescue, p, me.seq, d);
-        return;
+      // Aged validation passed: withdraw the announce. The withdraw races
+      // a winner's donation CAS on this slot; the total order picks
+      // exactly one side of the ownership exchange.
+      // mwllsc-ordering: seq_cst(withdraw vs donation CAS, one winner)
+      std::uint64_t expect = pack_a(kWaiting, me.xbuf, me.seq);
+      if (!announce_[p].a.compare_exchange_strong(
+              expect, pack_a(kIdle, me.xbuf, me.seq),
+              std::memory_order_seq_cst)) {
+        if (state_of_a(expect) == kHelped && seq_of_a(expect) == me.seq) {
+          // A donation raced in. The validated value stands; adopt the
+          // donated buffer as our new exchange buffer — the donor took the
+          // one we offered.
+          me.xbuf = buf_of_a(expect);
+          c.bump(c.ll_helped);
+          trace_.emit(obs::EventKind::kLlHelped, p, me.seq,
+                      buf_of_a(expect));
+        } else {
+          // The word no longer carries our seq: a crash-stop reclaim
+          // (reclaim_pid) judged this process dead and withdrew the
+          // announce out from under it. The value is still an untorn
+          // snapshot, but the slot — and the exchange buffer folded into
+          // its word — belong to the reclaimer now, so the only safe exit
+          // is to break the link and finish this op. Reached only when a
+          // reclaimed process is resurrected under test control; a
+          // genuinely dead process never gets here.
+          reclaimed = true;
+        }
       }
-      // Unreachable if the help guarantee holds (tests assert this
-      // counter stays zero); kept as a defensive retry.
-      c.bump(c.ll_retries);
-      trace_.emit(obs::EventKind::kLlRetry, p, me.seq);
+      me.announced = false;
     }
+    // The copy is an untorn snapshot of version t0, linearized at the link.
+    me.ll_buf = b;
+    // Any drift already broke the link; so does a raced reclaim.
+    me.link_valid = drift == 0 && !reclaimed;
+    c.bump(c.ll_ops);
+    trace_.emit(obs::EventKind::kLlFast, p, t0, b);
   }
 
   bool sc(std::uint32_t p, const std::uint64_t* v) {
@@ -480,6 +495,18 @@ class MwLLSC {
     for (std::uint32_t i = 0; i < w_; ++i) {
       out[i] = row[i].load(std::memory_order_relaxed);
     }
+  }
+
+  /// One LL attempt: link X, copy its buffer, re-read X's tag (W+2
+  /// accesses). Returns the drift; the copy is version *t0's value iff the
+  /// drift is at most P (aged validation).
+  std::uint64_t link_and_copy(std::uint32_t p, std::uint64_t* out,
+                              std::uint32_t* b, std::uint64_t* t0) {
+    *b = buf_of_x(x_.ll(p));
+    *t0 = x_.linked_tag(p);
+    copy_out(*b, out);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    return x_.current_tag() - *t0;
   }
 
   void copy_in(std::uint32_t b, const std::uint64_t* v) {

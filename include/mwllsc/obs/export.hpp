@@ -9,8 +9,8 @@
 //   loader below can parse it without a JSON library.
 //
 // * load_chrome_trace — reads that exporter's output back into a
-//   TraceData (X events are expanded to their start/retry/end markers in
-//   place), making an exported file a third correctness oracle: the same
+//   TraceData (X events are expanded to their start/slow/retry/end markers
+//   in place), making an exported file a third correctness oracle: the same
 //   checker runs on live rings and on a file from another machine.
 //
 // * check_trace — replays per-pid event streams and re-verifies, from
@@ -46,7 +46,7 @@
 
 namespace mwllsc::obs {
 
-inline constexpr std::uint32_t kTraceSchemaVersion = 2;
+inline constexpr std::uint32_t kTraceSchemaVersion = 3;
 
 // ------------------------------------------------------------------ checker
 
@@ -66,13 +66,16 @@ struct TraceCheckResult {
   bool ok() const { return violations.empty(); }
 };
 
-/// Derived step count for one completed LL, from the observed events: each
-/// round costs announce/link/copy/validate/announce-check = W+4 accesses,
-/// a rescue adds the W+1 donated copy + check (rounded to W here, on the
-/// conservative side of the paper's own constant accounting).
+/// Derived step count for one completed LL, from the observed events: a
+/// slow LL (ll_slow seen) first paid W+2 for its failed unannounced
+/// attempt (link/copy/validate); each round costs announce/link/copy/
+/// validate/announce-check = W+4 accesses, a rescue adds the W+1 donated
+/// copy + check (rounded to W here, on the conservative side of the
+/// paper's own constant accounting).
 inline std::uint64_t ll_steps_of(std::uint32_t w, std::uint32_t rounds,
-                                 bool rescued) {
-  return static_cast<std::uint64_t>(rounds) * (w + 4) + (rescued ? w : 0);
+                                 bool rescued, bool slow = false) {
+  return (slow ? w + 2 : 0) + static_cast<std::uint64_t>(rounds) * (w + 4) +
+         (rescued ? w : 0);
 }
 
 inline TraceCheckResult check_trace(const TraceData& d) {
@@ -101,6 +104,7 @@ inline TraceCheckResult check_trace(const TraceData& d) {
 
     struct VarState {
       bool in_ll = false;
+      bool slow = false;  ///< the open LL's first attempt failed
       std::uint32_t retries = 0;
       bool commit_open = false;  ///< sc_commit seen, bank_write pending
       bool any_commit = false;
@@ -194,7 +198,11 @@ inline TraceCheckResult check_trace(const TraceData& d) {
             r.violations.push_back(msg);
           }
           v.in_ll = true;
+          v.slow = false;
           v.retries = 0;
+          break;
+        case EventKind::kLlSlow:
+          if (v.in_ll) v.slow = true;
           break;
         case EventKind::kLlRetry:
           if (v.in_ll) {
@@ -221,15 +229,17 @@ inline TraceCheckResult check_trace(const TraceData& d) {
           }
           v.in_ll = false;
           ++r.lls_checked;
-          const std::uint64_t steps =
-              ll_steps_of(w, v.retries + 1, k == EventKind::kLlRescue);
+          const std::uint64_t steps = ll_steps_of(
+              w, v.retries + 1, k == EventKind::kLlRescue, v.slow);
           if (jp) {
             if (steps > r.max_ll_steps) r.max_ll_steps = steps;
             if (steps > 4ull * w + 12) {
               std::snprintf(msg, sizeof(msg),
                             "pid %zu var %u: LL took %" PRIu64
-                            " derived steps > 4W+12 = %u (W=%u, retries=%u)",
-                            pid, e.var, steps, 4 * w + 12, w, v.retries);
+                            " derived steps > 4W+12 = %u (W=%u, slow=%d, "
+                            "retries=%u)",
+                            pid, e.var, steps, 4 * w + 12, w,
+                            v.slow ? 1 : 0, v.retries);
               r.violations.push_back(msg);
             }
           }
@@ -342,11 +352,13 @@ inline bool write_chrome_trace(const std::string& path, const TraceData& d,
       if (k == EventKind::kLlStart || k == EventKind::kScAttempt) {
         const bool is_ll = k == EventKind::kLlStart;
         std::uint32_t retries = 0;
+        std::uint32_t slow = 0;
         std::size_t close = stream.size();
         for (std::size_t j = i + 1; j < stream.size(); ++j) {
           const auto kj = static_cast<EventKind>(stream[j].kind);
           if (stream[j].var != e.var) continue;
           if (is_ll && kj == EventKind::kLlRetry) ++retries;
+          if (is_ll && kj == EventKind::kLlSlow) slow = 1;
           if ((is_ll && (kj == EventKind::kLlFast ||
                          kj == EventKind::kLlRescue)) ||
               (!is_ll && (kj == EventKind::kScCommit ||
@@ -369,15 +381,15 @@ inline bool write_chrome_trace(const std::string& path, const TraceData& d,
               f,
               "{\"ph\":\"X\",\"name\":\"%s(%s)\",\"cat\":\"mwllsc\","
               "\"pid\":0,\"tid\":%zu,\"ts\":%.3f,\"dur\":%.3f,"
-              "\"args\":{\"k\":\"%s\",\"end\":\"%s\",\"retries\":%u,"
-              "\"var\":%u,\"tag\":%" PRIu64 ",\"arg\":%u}}",
+              "\"args\":{\"k\":\"%s\",\"end\":\"%s\",\"slow\":%u,"
+              "\"retries\":%u,\"var\":%u,\"tag\":%" PRIu64 ",\"arg\":%u}}",
               is_ll ? "LL" : "SC",
               ck == EventKind::kLlFast     ? "fast"
               : ck == EventKind::kLlRescue ? "helped"
               : ck == EventKind::kScCommit ? "commit"
                                            : "fail",
               pid, ts, dur < 0 ? 0.0 : dur, is_ll ? "ll" : "sc",
-              event_name(ck), retries, e.var, c.tag, c.arg);
+              event_name(ck), slow, retries, e.var, c.tag, c.arg);
           continue;  // the close marker is skipped below
         }
         // Unclosed window (end of ring): fall through as an instant.
@@ -488,9 +500,10 @@ inline bool find_str(const std::string& s, const char* key,
 }  // namespace detail
 
 /// Parses write_chrome_trace output (one traceEvents entry per line) back
-/// into a TraceData; "X" windows are expanded to their start/retry/close
-/// markers in place, so check_trace sees the same per-pid streams it would
-/// on live rings. Timestamps come back in nanoseconds (ns_per_tick = 1).
+/// into a TraceData; "X" windows are expanded to their start/slow/retry/
+/// close markers in place, so check_trace sees the same per-pid streams it
+/// would on live rings. Timestamps come back in nanoseconds (ns_per_tick =
+/// 1).
 inline bool load_chrome_trace(const std::string& path, TraceData* out,
                               std::string* err = nullptr) {
   std::FILE* f = std::fopen(path.c_str(), "r");
@@ -577,9 +590,10 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
 
     if (ph == "X") {
       std::string end;
-      std::uint64_t retries = 0;
+      std::uint64_t retries = 0, slow = 0;
       detail::find_str(line, "\"end\":\"", &end);
       detail::find_u64(line, "\"retries\":", &retries);
+      detail::find_u64(line, "\"slow\":", &slow);
       const int close = kind_of(end);
       if (close < 0) continue;
       const bool is_ll = end == "ll_fast" || end == "ll_rescue";
@@ -589,6 +603,7 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
               ? 0.0
               : std::strtod(line.c_str() + dur_pos + 6, nullptr);
       push(is_ll ? EventKind::kLlStart : EventKind::kScAttempt, ts_us);
+      if (slow) push(EventKind::kLlSlow, ts_us);
       for (std::uint64_t i = 0; i < retries; ++i) {
         push(EventKind::kLlRetry, ts_us);
       }

@@ -74,6 +74,7 @@ class MetricsRegistry {
     set_counter(labeled("mwllsc_helps_given_total", labels), s.helps_given);
     set_counter(labeled("mwllsc_bank_writes_total", labels), s.bank_writes);
     set_counter(labeled("mwllsc_ll_retries_total", labels), s.ll_retries);
+    set_counter(labeled("mwllsc_ll_slow_total", labels), s.ll_slow);
 
     const double sc = static_cast<double>(s.sc_ops);
     const double ll = static_cast<double>(s.ll_ops);
@@ -92,6 +93,10 @@ class MetricsRegistry {
     set_gauge(labeled("mwllsc_rescue_rate", labels),
               ll > 0 ? static_cast<double>(s.ll_used_helped_value) / ll
                      : 0.0);
+    // Fast-path health: the share of LLs whose unannounced first attempt
+    // passed (1 with no LLs, and on substrates without that split).
+    set_gauge(labeled("mwllsc_ll_fast_hit_ratio", labels),
+              ll > 0 ? 1.0 - static_cast<double>(s.ll_slow) / ll : 1.0);
   }
 
   /// Absorbs an operation-latency histogram under a label set.

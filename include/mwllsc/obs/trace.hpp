@@ -42,11 +42,12 @@ namespace mwllsc::obs {
 /// mapping); announce/help_all/apply_commit are the apps-layer help-all
 /// universal construction.
 enum class EventKind : std::uint16_t {
-  kLlStart = 0,     ///< LL announced / entered          (tag = announce seq)
-  kLlFast,          ///< LL fast path returned           (tag = linked tag)
-  kLlHelped,        ///< donation raced a fast-path LL   (tag = announce seq)
+  kLlStart = 0,     ///< LL entered                      (tag = prior seq)
+  kLlFast,          ///< LL returned its own copy        (tag = linked tag)
+  kLlHelped,        ///< donation raced a withdraw       (tag = announce seq)
   kLlRescue,        ///< LL returned the donated value   (tag = announce seq)
   kLlRetry,         ///< LL validation failed, looping   (defensive for jp)
+  kLlSlow,          ///< jp: first try failed, announced (tag = announce seq)
   kScAttempt,       ///< SC entered                      (arg = link_valid)
   kScCommit,        ///< SC installed                    (tag = new version)
   kScFail,          ///< SC failed (semantic)
@@ -65,8 +66,8 @@ enum class EventKind : std::uint16_t {
 inline const char* event_name(EventKind k) {
   static const char* names[] = {
       "ll_start",  "ll_fast",   "ll_helped",    "ll_rescue",     "ll_retry",
-      "sc_attempt", "sc_commit", "sc_fail",     "help_install",  "bank_write",
-      "buffer_retire", "announce", "help_all",  "apply_commit",
+      "ll_slow",   "sc_attempt", "sc_commit",   "sc_fail",       "help_install",
+      "bank_write", "buffer_retire", "announce", "help_all",     "apply_commit",
       "proc_join", "proc_retire", "proc_crash_reclaim"};
   const auto i = static_cast<std::size_t>(k);
   return i < static_cast<std::size_t>(EventKind::kCount) ? names[i] : "?";

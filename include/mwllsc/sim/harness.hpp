@@ -55,6 +55,7 @@
 #include "sim/inspect.hpp"
 #include "sim/memory.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace mwllsc::sim {
 
@@ -105,11 +106,17 @@ struct EnumerateResult {
   std::uint64_t schedules_explored = 0;  ///< complete executions reached
   std::uint64_t total_steps = 0;  ///< steps in the schedule tree
   std::uint32_t max_ll_steps = 0;  ///< worst completed LL across schedules
+  core::OpStatsSnapshot stats;     ///< object counters summed over complete
+                                   ///< executions: which paths were reached
   bool truncated = false;                ///< hit the schedule budget
 };
 
 struct WorkloadConfig {
   std::uint32_t ops_per_proc = 100;  ///< LL..SC rounds per process
+  /// Per-pid override of ops_per_proc for the first pids listed — e.g. one
+  /// busy writer that can land many SCs inside another process's one LL
+  /// while the exhaustive space stays small.
+  std::vector<std::uint32_t> ops_by_pid;
   std::uint32_t vl_percent = 10;     ///< chance of a VL between LL and SC
   std::uint64_t seed = 1;            ///< workload stream seed (VL coin)
 };
@@ -169,7 +176,13 @@ class SimWorkload {
 
   /// Whether p's script is finished regardless of crash state.
   bool script_done(std::uint32_t p) const {
-    return procs_[p]->rounds >= cfg_.ops_per_proc;
+    return procs_[p]->rounds >= ops_of(p);
+  }
+
+  /// LL..SC rounds in p's script.
+  std::uint32_t ops_of(std::uint32_t p) const {
+    return p < cfg_.ops_by_pid.size() ? cfg_.ops_by_pid[p]
+                                      : cfg_.ops_per_proc;
   }
 
   /// p is parked between two ops (or has not started), not inside one.
@@ -469,7 +482,7 @@ class SimWorkload {
         last = std::move(rec);
         completed = true;
         in_op = false;
-        if (rounds >= wl->cfg_.ops_per_proc) return;
+        if (rounds >= wl->ops_of(pid)) return;
         fiber->yield();  // park at the op boundary
         if (unwind) return;
       }
@@ -784,6 +797,7 @@ struct Enumerator {
         if (wl.max_ll_steps() > res.max_ll_steps) {
           res.max_ll_steps = wl.max_ll_steps();
         }
+        res.stats += wl.object().stats();
         if (res.schedules_explored >= max_schedules) {
           res.truncated = true;
           stop = true;

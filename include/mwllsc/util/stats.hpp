@@ -21,7 +21,10 @@ namespace mwllsc::core {
 /// actually returned the donated value (Line 7), a "help install" is a
 /// successful SC that performed the ownership exchange, and a "bank write"
 /// is the buffer-retirement write every successful SC performs (Line 13 —
-/// exactly one per successful SC, invariant I2).
+/// exactly one per successful SC, invariant I2). A "slow" LL is one whose
+/// unannounced first attempt failed, so it announced and asked for help:
+/// 1 - ll_slow/ll_ops is the fast-path hit rate, and every helped LL is a
+/// slow one (ll_helped <= ll_slow).
 struct OpStatsSnapshot {
   std::uint64_t ll_ops = 0;
   std::uint64_t sc_ops = 0;
@@ -33,6 +36,7 @@ struct OpStatsSnapshot {
   std::uint64_t bank_writes = 0;
   std::uint64_t ll_retries = 0;  ///< defensive LL retries; 0 if the 4W+12
                                  ///< help guarantee holds (tests assert it)
+  std::uint64_t ll_slow = 0;     ///< LLs that announced (first try failed)
 
   OpStatsSnapshot& operator+=(const OpStatsSnapshot& o) {
     ll_ops += o.ll_ops;
@@ -44,6 +48,7 @@ struct OpStatsSnapshot {
     helps_given += o.helps_given;
     bank_writes += o.bank_writes;
     ll_retries += o.ll_retries;
+    ll_slow += o.ll_slow;
     return *this;
   }
 };
@@ -52,8 +57,16 @@ struct OpStatsSnapshot {
 
 namespace mwllsc::util {
 
-/// Per-process counter cell. Each process id is driven by one thread, so
-/// relaxed increments are race-free; padding keeps cells on distinct lines.
+/// Per-process counter cell, padded so cells sit on distinct lines.
+///
+/// Single-writer-at-a-time contract: only the thread currently driving pid
+/// p writes cell p, so bump() is a relaxed load + relaxed store rather than
+/// a locked read-modify-write. Readers (snapshot()) may run concurrently and
+/// see slightly stale counts, never torn ones. A pid changes hands only
+/// through a happens-before edge that orders the old writer's last store
+/// before the new writer's first load: the membership layer's acq_rel slot
+/// CASes (join after retire/abandon, and reclaim_pid after abandon), the
+/// degraded path's mutex, or a thread join.
 struct alignas(64) OpStatsCell {
   std::atomic<std::uint64_t> ll_ops{0};
   std::atomic<std::uint64_t> sc_ops{0};
@@ -64,9 +77,10 @@ struct alignas(64) OpStatsCell {
   std::atomic<std::uint64_t> helps_given{0};
   std::atomic<std::uint64_t> bank_writes{0};
   std::atomic<std::uint64_t> ll_retries{0};
+  std::atomic<std::uint64_t> ll_slow{0};
 
   void bump(std::atomic<std::uint64_t>& c) {
-    c.fetch_add(1, std::memory_order_relaxed);
+    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
   }
 };
 
@@ -91,6 +105,7 @@ class OpStatsArray {
       s.helps_given += c.helps_given.load(std::memory_order_relaxed);
       s.bank_writes += c.bank_writes.load(std::memory_order_relaxed);
       s.ll_retries += c.ll_retries.load(std::memory_order_relaxed);
+      s.ll_slow += c.ll_slow.load(std::memory_order_relaxed);
     }
     return s;
   }

@@ -1,7 +1,7 @@
 // Facade-level LL/SC/VL semantics, run identically against all four
 // implementations: single-thread round-trips, semantic SC failure after an
 // intervening SC, VL behavior, full-width multiword values, and counter
-// sanity.
+// sanity (including a one-thread fast-path hit rate of 1: ll_slow == 0).
 #include <cstdint>
 #include <vector>
 
@@ -71,6 +71,10 @@ void semantics_for(const core::MwLLSCFactory& f) {
   CHECK(s.sc_success >= 3);
   CHECK(s.sc_success <= s.sc_ops);
   CHECK(s.vl_ops >= 4);
+  // One thread: no SC can land inside an LL, so every LL's unannounced
+  // first attempt passes and nothing ever asks for help.
+  CHECK_EQ(s.ll_slow, 0u);
+  CHECK_EQ(s.ll_helped, 0u);
 
   // Footprint: parts sum to the total, the shared/per-process ownership
   // split is structural (no name matching), and private state is reported.
@@ -101,6 +105,7 @@ void degenerate_for(const core::MwLLSCFactory& f) {
   }
   solo->ll(0, &v);
   CHECK_EQ(v, 100u);
+  CHECK_EQ(solo->stats().ll_slow, 0u);
 }
 
 }  // namespace

@@ -244,8 +244,8 @@ void sampled_trace_skips_checks() {
 }
 
 /// The checker must reject what it claims to reject: synthetic traces with
-/// a defensive jp retry, an I2 double-commit, a commit-less bank write, and
-/// an over-budget apply.
+/// a defensive jp retry, a slow jp LL over 4W+12 (and accept one under it),
+/// an I2 double-commit, a commit-less bank write, and an over-budget apply.
 void checker_catches_violations() {
   auto base = [] {
     obs::TraceData d;
@@ -279,6 +279,35 @@ void checker_catches_violations() {
     CHECK_EQ(obs::ll_steps_of(4, 1, false), 8u);    // one round, W+4
     CHECK_EQ(obs::ll_steps_of(4, 1, true), 12u);    // rescue adds W
     CHECK(obs::ll_steps_of(4, 4, false) > 4 * 4 + 12);
+    // A slow LL first paid W+2 for its failed unannounced attempt: the
+    // rescued slow LL is jp's worst case, 3W+6.
+    CHECK_EQ(obs::ll_steps_of(4, 1, true, true), 18u);
+  }
+  {  // a slow, rescued jp LL (3W+6 = 18) is under the bound: no violation
+    obs::TraceData d = base();
+    d.per_pid[0] = {ev(obs::EventKind::kLlStart, 0, 0),
+                    ev(obs::EventKind::kLlSlow, 0, 0, 1),
+                    ev(obs::EventKind::kLlRescue, 0, 0, 1)};
+    const auto r = obs::check_trace(d);
+    CHECK(r.ok());
+    CHECK_EQ(r.max_ll_steps, 18u);
+  }
+  {  // over it: the slow charge is what pushes this LL past 4W+12 — two
+     // retries alone derive exactly 28 = 4W+12, the failed first attempt
+     // adds W+2 (the retries are flagged on their own as well)
+    obs::TraceData d = base();
+    d.per_pid[0] = {ev(obs::EventKind::kLlStart, 0, 0),
+                    ev(obs::EventKind::kLlRetry, 0, 0),
+                    ev(obs::EventKind::kLlRetry, 0, 0),
+                    ev(obs::EventKind::kLlRescue, 0, 0)};
+    CHECK_EQ(obs::check_trace(d).violations.size(), 2u);  // retries only
+    d.per_pid[0].insert(d.per_pid[0].begin() + 1,
+                        ev(obs::EventKind::kLlSlow, 0, 0, 1));
+    const auto r = obs::check_trace(d);
+    CHECK_EQ(r.violations.size(), 3u);
+    CHECK_EQ(r.max_ll_steps, 34u);
+    CHECK(r.violations.back().find("> 4W+12") != std::string::npos);
+    CHECK(r.violations.back().find("slow=1") != std::string::npos);
   }
   {  // I2: two commits with no bank write between them
     obs::TraceData d = base();

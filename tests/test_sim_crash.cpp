@@ -3,8 +3,9 @@
 //   (a) bounded-exhaustive search with a crash budget — every N=2, W=2
 //       schedule with <=2 preemptions AND a crash-stop of the currently
 //       scheduled process injected at every protocol step (plus a
-//       2-crash / N=3 variant) keeps I1, I2, the 4W+12 bound and the
-//       sequential-spec oracle green for the live processes;
+//       2-crash / N=3 variant, and a one-LL reader against a busy writer
+//       that reaches the announced path) keeps I1, I2, the 4W+12 bound
+//       and the sequential-spec oracle green for the live processes;
 //   (b) directed schedules for the nastiest lifecycle points — a helper
 //       dying right after its donation, a winner dying between its X SC
 //       and its ring swap, a victim dying between announce and withdraw,
@@ -42,18 +43,25 @@ using Peek = Inspector<Jp>;
 void exhaustive_with_crashes() {
   struct Shape {
     std::uint32_t n, w, ops, preempts, crashes;
+    std::uint32_t busy_ops;  ///< if nonzero, p1's rounds (p0 runs `ops`)
   };
   const Shape shapes[] = {
-      {2, 2, 2, 2, 0},  // the crash-free baseline of the next shape
-      {2, 2, 2, 2, 1},  // one crash anywhere
-      {2, 2, 2, 1, 2},  // both processes can die
-      {3, 2, 1, 1, 2},  // three procs, two corpses, survivors finish
+      {2, 2, 2, 2, 0, 0},  // the crash-free baseline of the next shape
+      {2, 2, 2, 2, 1, 0},  // one crash anywhere
+      {2, 2, 2, 1, 2, 0},  // both processes can die
+      {3, 2, 1, 1, 2, 0},  // three procs, two corpses, survivors finish
+      // A one-LL reader against a busy writer: the writer can doom the
+      // reader's unannounced attempt, so crashes land inside the announced
+      // path too (a corpse's posted announce collecting donations).
+      {2, 2, 1, 2, 1, 6},
   };
-  std::uint64_t explored[4] = {};
-  for (std::size_t i = 0; i < 4; ++i) {
+  constexpr std::size_t kShapes = sizeof(shapes) / sizeof(shapes[0]);
+  std::uint64_t explored[kShapes] = {};
+  for (std::size_t i = 0; i < kShapes; ++i) {
     const Shape& s = shapes[i];
     WorkloadConfig cfg;
     cfg.ops_per_proc = s.ops;
+    if (s.busy_ops) cfg.ops_by_pid = {s.ops, s.busy_ops};
     cfg.vl_percent = 50;
     cfg.seed = 3;
     const EnumerateResult r = enumerate_preemption_bounded<Jp, JpChecker>(
@@ -62,11 +70,15 @@ void exhaustive_with_crashes() {
       std::fprintf(stderr, "crash CHESS (n=%u w=%u p=%u c=%u) failed: %s\n",
                    s.n, s.w, s.preempts, s.crashes, r.error.c_str());
     }
-    std::printf("exhaustive N=%u W=%u ops=%u <=%u preemptions %u crashes: "
-                "%llu schedules, worst LL %u\n",
-                s.n, s.w, s.ops, s.preempts, s.crashes,
+    std::printf("exhaustive N=%u W=%u ops=%u", s.n, s.w, s.ops);
+    if (s.busy_ops) std::printf(",%u", s.busy_ops);
+    std::printf(" <=%u preemptions %u crashes: %llu schedules, worst LL %u, "
+                "%llu slow LLs, %llu donations (summed)\n",
+                s.preempts, s.crashes,
                 static_cast<unsigned long long>(r.schedules_explored),
-                r.max_ll_steps);
+                r.max_ll_steps,
+                static_cast<unsigned long long>(r.stats.ll_slow),
+                static_cast<unsigned long long>(r.stats.helps_given));
     CHECK(r.ok);
     CHECK(!r.truncated);
     CHECK(r.schedules_explored > 100);
@@ -75,6 +87,10 @@ void exhaustive_with_crashes() {
     // exist (crashes never claim every process before its first SC).
     CHECK(r.max_ll_steps > 0);
     CHECK(r.max_ll_steps <= Jp::ll_step_bound(s.n, s.w));
+    if (s.busy_ops) {
+      CHECK(r.stats.ll_slow > 0);
+      CHECK(r.stats.helps_given > 0);
+    }
     explored[i] = r.schedules_explored;
   }
   // The crash budget must actually enlarge the explored space over the
@@ -108,6 +124,22 @@ bool step_until(SimWorkload<Jp>& wl, JpChecker& chk, std::uint32_t p,
   return false;
 }
 
+// Drives `victim` into its announced attempt. An LL announces only once
+// its unannounced first attempt is doomed, so: the victim links X for that
+// attempt, `writer` lands doom_delta() = P+1 successful SCs, and the victim
+// validates, fails over and posts its announce (parked before its second
+// X link). Returns false if a step budget ran out or the checker failed.
+bool force_announce(SimWorkload<Jp>& wl, JpChecker& chk, std::uint32_t victim,
+                    std::uint32_t writer) {
+  const Jp& obj = wl.object();
+  wl.step(victim, chk);  // the unannounced attempt's X link
+  const std::uint64_t v0 = wl.version();
+  return step_until(wl, chk, writer,
+                    [&] { return wl.version() - v0 >= wl.doom_delta(); }) &&
+         step_until(wl, chk, victim,
+                    [&] { return Peek::announce_posted(obj, victim); });
+}
+
 // Runs every runnable process round-robin to completion.
 void drain(SimWorkload<Jp>& wl, JpChecker& chk) {
   std::uint32_t guard = 200000;
@@ -136,8 +168,7 @@ void crash_helper_after_donation() {
   const std::uint32_t victim = 0, helper = 1;
 
   // Victim: into its LL far enough to have announced.
-  CHECK(step_until(wl, chk, victim,
-                   [&] { return Peek::announce_posted(obj, victim); }));
+  CHECK(force_announce(wl, chk, victim, helper));
   // Helper: run until its SC posts a donation into the victim's slot.
   CHECK(step_until(wl, chk, helper,
                    [&] { return Peek::donation_posted(obj, victim); }));
@@ -187,11 +218,9 @@ void crash_winner_before_ring_swap() {
 void crash_victim_mid_announce() {
   SimWorkload<Jp> wl(2, 2, directed(8, 2));
   JpChecker chk(wl);
-  const Jp& obj = wl.object();
   const std::uint32_t victim = 0, helper = 1;
 
-  CHECK(step_until(wl, chk, victim,
-                   [&] { return Peek::announce_posted(obj, victim); }));
+  CHECK(force_announce(wl, chk, victim, helper));
   wl.crash(victim, chk);
   CHECK(chk.ok());
 
@@ -216,10 +245,10 @@ void crash_victim_mid_announce() {
 // word still names the buffer it donated; the new holder must get the one
 // p1 took in exchange (Priv::xbuf), or two owners share a buffer.
 void rebind_after_helper_donation() {
-  SimWorkload<Jp> wl(2, 2, directed(4, 1));
+  SimWorkload<Jp> wl(2, 2, directed(6, 1));
   JpChecker chk(wl);
   const Jp& obj = wl.object();
-  CHECK(step_until(wl, chk, 0, [&] { return Peek::announce_posted(obj, 0); }));
+  CHECK(force_announce(wl, chk, 0, 1));
   CHECK(step_until(wl, chk, 1, [&] { return Peek::donation_posted(obj, 0); }));
   // p1 finishes its SC and stops at the next op boundary: it retires.
   CHECK(step_until(wl, chk, 1, [&] { return wl.at_boundary(1); }));
@@ -247,8 +276,7 @@ void withdraw_reclaim_race() {
   JpChecker chk(wl);
   Jp& obj = wl.object();
   const std::uint32_t zombie = 0;
-  CHECK(step_until(wl, chk, zombie,
-                   [&] { return Peek::announce_posted(obj, zombie); }));
+  CHECK(force_announce(wl, chk, zombie, 1));
   CHECK(obj.reclaim_pid(zombie));  // the reclaimer's verdict, mid-LL
   CHECK(step_until(wl, chk, zombie,
                    [&] { return wl.last_op(zombie).type == OpType::kSc; }));

@@ -68,6 +68,9 @@ void stress_for(const core::MwLLSCFactory& f) {
   const auto s = obj->stats();
   CHECK_EQ(s.sc_success, kThreads * kIncrements);
   CHECK(s.sc_ops >= s.sc_success);
+  // jp: only an LL whose unannounced attempt failed announces, so only a
+  // slow LL can be helped.
+  if (f.name == "jp") CHECK(s.ll_helped <= s.ll_slow);
 
 #if defined(MWLLSC_TRACE)
   // Replay the (ring-truncated) trace through the offline checker: the
@@ -80,10 +83,11 @@ void stress_for(const core::MwLLSCFactory& f) {
   CHECK(r.ok());
   CHECK(r.lls_checked > 0);
 #endif
-  std::printf("    sc %llu/%llu, helped LLs %llu, rescues %llu, "
-              "help installs %llu\n",
+  std::printf("    sc %llu/%llu, slow LLs %llu, helped LLs %llu, "
+              "rescues %llu, help installs %llu\n",
               static_cast<unsigned long long>(s.sc_success),
               static_cast<unsigned long long>(s.sc_ops),
+              static_cast<unsigned long long>(s.ll_slow),
               static_cast<unsigned long long>(s.ll_helped),
               static_cast<unsigned long long>(s.ll_used_helped_value),
               static_cast<unsigned long long>(s.helps_given));
