@@ -5,9 +5,7 @@
 //     O(W) copy into an O(N^2 W) handoff matrix. Measures the per-op cost
 //     of that difference at equal (N, W) — the time price am pays on top of
 //     its space price.
-// (b) Engine choice: the 128-bit CAS engine (dw128, no practical ABA bound)
-//     vs the packed 64-bit engine (packed64, cheaper CAS, 2^32 tag).
-// (c) VL cost: O(1) validation vs re-running a full O(W) LL — why the
+// (b) VL cost: O(1) validation vs re-running a full O(W) LL — why the
 //     paper bothers exposing VL at all.
 //
 // Run: ./bench_ablation [--trace PATH] [--metrics PATH]
@@ -28,25 +26,19 @@ using namespace mwllsc;
 
 namespace {
 
-using JP128 = core::MwLLSC<llsc::Dw128LLSC>;
-using JP64 = core::MwLLSC<llsc::Packed64LLSC>;
-using AM128 = baseline::AmLLSC<llsc::Dw128LLSC>;
-using AM64 = baseline::AmLLSC<llsc::Packed64LLSC>;
+using Jp = core::MwLLSC<llsc::Engine>;
+using Am = baseline::AmLLSC<llsc::Engine>;
 
 bench::ObsSession* g_obs = nullptr;
 
 template <typename Impl>
 const char* impl_label();
 template <>
-const char* impl_label<JP128>() { return "jp dw128"; }
+const char* impl_label<Jp>() { return "jp"; }
 template <>
-const char* impl_label<JP64>() { return "jp packed64"; }
-template <>
-const char* impl_label<AM128>() { return "am dw128"; }
-template <>
-const char* impl_label<AM64>() { return "am packed64"; }
+const char* impl_label<Am>() { return "am"; }
 
-// (a)+(b): contended RMW pairs. google-benchmark's ->Threads(t) runs the
+// (a): contended RMW pairs. google-benchmark's ->Threads(t) runs the
 // loop on t threads; each uses its thread_index as process id.
 template <typename Impl>
 void BM_ContendedRmw(benchmark::State& state) {
@@ -83,10 +75,10 @@ void BM_ContendedRmw(benchmark::State& state) {
   }
 }
 
-// (c): VL vs LL as a "did anything change?" probe.
+// (b): VL vs LL as a "did anything change?" probe.
 void BM_ProbeWithVl(benchmark::State& state) {
   const auto w = static_cast<std::uint32_t>(state.range(0));
-  JP128 obj(2, w);
+  Jp obj(2, w);
   std::vector<std::uint64_t> out(w);
   obj.ll(0, out.data());
   for (auto _ : state) {
@@ -97,7 +89,7 @@ void BM_ProbeWithVl(benchmark::State& state) {
 
 void BM_ProbeWithLl(benchmark::State& state) {
   const auto w = static_cast<std::uint32_t>(state.range(0));
-  JP128 obj(2, w);
+  Jp obj(2, w);
   std::vector<std::uint64_t> out(w);
   for (auto _ : state) {
     obj.ll(0, out.data());  // O(W)
@@ -109,34 +101,20 @@ void BM_ProbeWithLl(benchmark::State& state) {
 }  // namespace
 
 // (a) ownership exchange (jp) vs help-copy (am), multi-threaded.
-BENCHMARK_TEMPLATE(BM_ContendedRmw, JP128)
+BENCHMARK_TEMPLATE(BM_ContendedRmw, Jp)
     ->Arg(16)
     ->Threads(1)
     ->Threads(4)
     ->Threads(8)
     ->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedRmw, AM128)
-    ->Arg(16)
-    ->Threads(1)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-
-// (b) engine ablation at the same geometry.
-BENCHMARK_TEMPLATE(BM_ContendedRmw, JP64)
-    ->Arg(16)
-    ->Threads(1)
-    ->Threads(4)
-    ->Threads(8)
-    ->UseRealTime();
-BENCHMARK_TEMPLATE(BM_ContendedRmw, AM64)
+BENCHMARK_TEMPLATE(BM_ContendedRmw, Am)
     ->Arg(16)
     ->Threads(1)
     ->Threads(4)
     ->Threads(8)
     ->UseRealTime();
 
-// (c) VL's O(1) probe vs an O(W) LL re-read.
+// (b) VL's O(1) probe vs an O(W) LL re-read.
 BENCHMARK(BM_ProbeWithVl)->Arg(4)->Arg(64)->Arg(1024);
 BENCHMARK(BM_ProbeWithLl)->Arg(4)->Arg(64)->Arg(1024);
 

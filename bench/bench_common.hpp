@@ -36,17 +36,17 @@ inline std::vector<core::MwLLSCFactory> all_factories() {
   using core::MwLLSCAdapter;
   return {
       {"jp", [](std::uint32_t n, std::uint32_t w) -> std::unique_ptr<IMwLLSC> {
-         return std::make_unique<MwLLSCAdapter<core::MwLLSC<llsc::Dw128LLSC>>>(
+         return std::make_unique<MwLLSCAdapter<core::MwLLSC<llsc::Engine>>>(
              n, w);
        }},
       {"am", [](std::uint32_t n, std::uint32_t w) -> std::unique_ptr<IMwLLSC> {
          return std::make_unique<
-             MwLLSCAdapter<baseline::AmLLSC<llsc::Dw128LLSC>>>(n, w);
+             MwLLSCAdapter<baseline::AmLLSC<llsc::Engine>>>(n, w);
        }},
       {"retry",
        [](std::uint32_t n, std::uint32_t w) -> std::unique_ptr<IMwLLSC> {
          return std::make_unique<
-             MwLLSCAdapter<baseline::RetryLLSC<llsc::Dw128LLSC>>>(n, w);
+             MwLLSCAdapter<baseline::RetryLLSC<llsc::Engine>>>(n, w);
        }},
       {"lock",
        [](std::uint32_t n, std::uint32_t w) -> std::unique_ptr<IMwLLSC> {

@@ -69,9 +69,8 @@ void BM_VL(benchmark::State& state) {
   state.counters["words"] = w;
 }
 
-using JP128 = core::MwLLSC<llsc::Dw128LLSC>;
-using JP64 = core::MwLLSC<llsc::Packed64LLSC>;
-using AM128 = baseline::AmLLSC<llsc::Dw128LLSC>;
+using Jp = core::MwLLSC<llsc::Engine>;
+using Am = baseline::AmLLSC<llsc::Engine>;
 using Lock = baseline::LockLLSC;
 
 constexpr std::int64_t kMinW = 1;
@@ -79,17 +78,14 @@ constexpr std::int64_t kMaxW = 1024;
 
 }  // namespace
 
-BENCHMARK_TEMPLATE(BM_LL, JP128)->RangeMultiplier(4)->Range(kMinW, kMaxW);
-BENCHMARK_TEMPLATE(BM_LL, AM128)->RangeMultiplier(4)->Range(kMinW, kMaxW);
+BENCHMARK_TEMPLATE(BM_LL, Jp)->RangeMultiplier(4)->Range(kMinW, kMaxW);
+BENCHMARK_TEMPLATE(BM_LL, Am)->RangeMultiplier(4)->Range(kMinW, kMaxW);
 BENCHMARK_TEMPLATE(BM_LL, Lock)->RangeMultiplier(4)->Range(kMinW, kMaxW);
 
-BENCHMARK_TEMPLATE(BM_LLSC_Pair, JP128)
+BENCHMARK_TEMPLATE(BM_LLSC_Pair, Jp)
     ->RangeMultiplier(4)
     ->Range(kMinW, kMaxW);
-BENCHMARK_TEMPLATE(BM_LLSC_Pair, JP64)
-    ->RangeMultiplier(4)
-    ->Range(kMinW, kMaxW);
-BENCHMARK_TEMPLATE(BM_LLSC_Pair, AM128)
+BENCHMARK_TEMPLATE(BM_LLSC_Pair, Am)
     ->RangeMultiplier(4)
     ->Range(kMinW, kMaxW);
 BENCHMARK_TEMPLATE(BM_LLSC_Pair, Lock)
@@ -97,8 +93,8 @@ BENCHMARK_TEMPLATE(BM_LLSC_Pair, Lock)
     ->Range(kMinW, kMaxW);
 
 // VL must be flat in W (O(1), Theorem 1).
-BENCHMARK_TEMPLATE(BM_VL, JP128)->RangeMultiplier(16)->Range(kMinW, kMaxW);
-BENCHMARK_TEMPLATE(BM_VL, AM128)->RangeMultiplier(16)->Range(kMinW, kMaxW);
+BENCHMARK_TEMPLATE(BM_VL, Jp)->RangeMultiplier(16)->Range(kMinW, kMaxW);
+BENCHMARK_TEMPLATE(BM_VL, Am)->RangeMultiplier(16)->Range(kMinW, kMaxW);
 
 namespace {
 

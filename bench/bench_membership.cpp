@@ -40,7 +40,7 @@ using namespace mwllsc;
 
 namespace {
 
-using Jp = core::MwLLSC<llsc::Dw128LLSC>;
+using Jp = core::MwLLSC<llsc::Engine>;
 using Managed = membership::ManagedMwLLSC<Jp>;
 
 struct ChurnResult {

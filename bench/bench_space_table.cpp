@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   {
     const std::uint32_t n = 16, w = 16;
     std::printf("JP component breakdown at N=%u, W=%u:\n", n, w);
-    core::MwLLSC<llsc::Dw128LLSC> obj(n, w);
+    core::MwLLSC<llsc::Engine> obj(n, w);
     const auto f = obj.footprint();
     TablePrinter table({"component", "bytes"});
     for (const auto& part : f.parts()) {
@@ -103,7 +103,7 @@ int main(int argc, char** argv) {
     table.print();
 
     std::printf("\nAM component breakdown at N=%u, W=%u:\n", n, w);
-    baseline::AmLLSC<llsc::Dw128LLSC> am(n, w);
+    baseline::AmLLSC<llsc::Engine> am(n, w);
     const auto g = am.footprint();
     TablePrinter table2({"component", "bytes"});
     for (const auto& part : g.parts()) {

@@ -28,7 +28,7 @@ using Substrate =
 
 inline Substrate jp_substrate() {
   return [](std::uint32_t n, std::uint32_t w) -> std::unique_ptr<core::IMwLLSC> {
-    return std::make_unique<core::MwLLSCAdapter<core::MwLLSC<llsc::Dw128LLSC>>>(
+    return std::make_unique<core::MwLLSCAdapter<core::MwLLSC<llsc::Engine>>>(
         n, w);
   };
 }

@@ -38,10 +38,10 @@ class AmLLSC {
   }
 
   AmLLSC(std::uint32_t nprocs, std::uint32_t words)
-      : n_(nprocs),
+      : n_(llsc::checked_nprocs(nprocs)),
         w_(words),
         nbufs_(nprocs + 1),
-        x_(nprocs, pack_x(0, nprocs)),
+        x_(nprocs, nprocs),
         buf_(new Atomic<std::uint64_t>[static_cast<std::size_t>(
             nprocs + 1) * words]),
         handoff_(new Plain<std::uint64_t>[static_cast<std::size_t>(nprocs) *
@@ -50,7 +50,6 @@ class AmLLSC {
         priv_(new Priv[nprocs]),
         lastval_(new std::uint64_t[static_cast<std::size_t>(nprocs) * words]),
         stats_(nprocs) {
-    assert(nprocs >= 1 && nprocs <= kMaxProcs);
     assert(words >= 1);
     for (std::size_t i = 0; i < static_cast<std::size_t>(nbufs_) * w_; ++i) {
       buf_[i].store(0, std::memory_order_relaxed);
@@ -72,8 +71,7 @@ class AmLLSC {
                          std::memory_order_seq_cst);
     trace_.emit(obs::EventKind::kLlStart, p, me.seq);
     for (;;) {
-      const std::uint64_t x = x_.ll(p);
-      const std::uint32_t b = buf_of_x(x);
+      const auto b = static_cast<std::uint32_t>(x_.ll(p));
       copy_from_bufs(b, out);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (x_.vl(p)) {
@@ -135,7 +133,7 @@ class AmLLSC {
     // mwllsc-ordering: seq_cst(the pre-SC probe pairs with the announce
     // store: a probe after the announce cannot miss kWaiting)
     std::uint64_t seen = announce_[target].a.load(std::memory_order_seq_cst);
-    if (!x_.sc(p, pack_x(p, me.spare))) {
+    if (!x_.sc(p, me.spare)) {
       trace_.emit(obs::EventKind::kScFail, p, me.seq);
       return false;
     }
@@ -197,19 +195,6 @@ class AmLLSC {
   }
 
  private:
-  static constexpr std::uint32_t kBufBits = 18;
-  static constexpr std::uint32_t kPidBits = 14;
-  static constexpr std::uint32_t kMaxProcs = 1u << kPidBits;
-  static_assert(LLSC::kValueBits >= kBufBits + kPidBits,
-                "engine value too narrow for the <pid, buf> descriptor");
-
-  static std::uint64_t pack_x(std::uint32_t pid, std::uint32_t buf) {
-    return (static_cast<std::uint64_t>(pid) << kBufBits) | buf;
-  }
-  static std::uint32_t buf_of_x(std::uint64_t x) {
-    return static_cast<std::uint32_t>(x & ((1u << kBufBits) - 1));
-  }
-
   // Announce word: state(2) | donor pid(18) | seq(44).
   static constexpr std::uint64_t kIdle = 0;
   static constexpr std::uint64_t kWaiting = 1;
@@ -223,7 +208,7 @@ class AmLLSC {
   }
   static std::uint64_t state_of_a(std::uint64_t a) { return a & 3; }
   static std::uint32_t donor_of_a(std::uint64_t a) {
-    return static_cast<std::uint32_t>((a >> 2) & ((1u << kBufBits) - 1));
+    return llsc::buf_of(a >> 2);
   }
   static std::uint64_t seq_of_a(std::uint64_t a) { return a >> 20; }
 

@@ -25,15 +25,14 @@ class RetryLLSC {
 
  public:
   RetryLLSC(std::uint32_t nprocs, std::uint32_t words)
-      : n_(nprocs),
+      : n_(llsc::checked_nprocs(nprocs)),
         w_(words),
         nbufs_(nprocs + 1),
-        x_(nprocs, pack_x(0, nprocs)),
+        x_(nprocs, nprocs),
         buf_(new Atomic<std::uint64_t>[static_cast<std::size_t>(
             nprocs + 1) * words]),
         priv_(new Priv[nprocs]),
         stats_(nprocs) {
-    assert(nprocs >= 1 && nprocs <= kMaxProcs);
     assert(words >= 1);
     for (std::size_t i = 0; i < static_cast<std::size_t>(nbufs_) * w_; ++i) {
       buf_[i].store(0, std::memory_order_relaxed);
@@ -46,8 +45,7 @@ class RetryLLSC {
     Priv& me = priv_[p];
     trace_.emit(obs::EventKind::kLlStart, p);
     for (;;) {  // unbounded: lock-free, not wait-free
-      const std::uint64_t x = x_.ll(p);
-      const std::uint32_t b = buf_of_x(x);
+      const auto b = static_cast<std::uint32_t>(x_.ll(p));
       copy_out(b, out);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (x_.vl(p)) {
@@ -74,7 +72,7 @@ class RetryLLSC {
     me.link_valid = false;
     copy_in(me.spare, v);
     std::atomic_thread_fence(std::memory_order_release);
-    if (!x_.sc(p, pack_x(p, me.spare))) {
+    if (!x_.sc(p, me.spare)) {
       trace_.emit(obs::EventKind::kScFail, p);
       return false;
     }
@@ -114,19 +112,6 @@ class RetryLLSC {
   }
 
  private:
-  static constexpr std::uint32_t kBufBits = 18;
-  static constexpr std::uint32_t kPidBits = 14;
-  static constexpr std::uint32_t kMaxProcs = 1u << kPidBits;
-  static_assert(LLSC::kValueBits >= kBufBits + kPidBits,
-                "engine value too narrow for the <pid, buf> descriptor");
-
-  static std::uint64_t pack_x(std::uint32_t pid, std::uint32_t buf) {
-    return (static_cast<std::uint64_t>(pid) << kBufBits) | buf;
-  }
-  static std::uint32_t buf_of_x(std::uint64_t x) {
-    return static_cast<std::uint32_t>(x & ((1u << kBufBits) - 1));
-  }
-
   struct alignas(64) Priv {
     std::uint32_t spare = 0;
     std::uint32_t ll_buf = 0;

@@ -1,33 +1,39 @@
-// Single-word LL/SC building blocks ("the hardware primitive").
+// Single-word LL/SC building block ("the hardware primitive"), and the one
+// home of the word format every protocol word shares.
 //
-// Real hardware LL/SC is not exposed portably, so both engines emulate an
-// N-process single-word LL/SC variable with CAS on a (value, sequence-tag)
-// pair; the tag advances on every successful SC, which makes SC failures
-// semantic (an SC fails iff another SC succeeded since the caller's LL) and
-// defeats ABA up to tag wrap-around:
+// Real hardware LL/SC is not exposed portably, so the engine emulates an
+// N-process single-word LL/SC variable with a 64-bit CAS on a
+// `buf(18) | tag(46)` word. The value is a buffer index (the multiword
+// objects only install the index of the buffer holding the current value),
+// and the tag advances on every successful SC, which makes SC failures
+// semantic (an SC fails iff another SC succeeded since the caller's LL)
+// and defeats ABA up to tag wrap-around. jp's retirement-ring cells use
+// the same format.
 //
-//   * Dw128LLSC   — 128-bit CAS (x86 cmpxchg16b via libatomic): full 64-bit
-//                   values and a 64-bit tag, i.e. no practical ABA bound.
-//   * Packed64LLSC — single 64-bit CAS holding a 32-bit value and a 32-bit
-//                   tag: cheaper hardware op, wraps after 2^32 SCs. The
-//                   ablation engine.
+// Envelope. Every bounded counter wraps modulo its width, identically in
+// debug and release builds. Each is safe while no stall spans a cycle:
 //
-// Operating envelope (tag wrap). The ABA guarantee holds for at most
-// kMaxTag = 2^kTagBits - 1 successful SCs per variable; past that the tag
-// wraps to 0 and a process parked across the full wrap cycle could see a
-// stale link validate ("spurious" SC/VL success). For Dw128LLSC that is
-// 2^64 SCs — over 580 years at 10^9 SCs/s, no practical bound. For
-// Packed64LLSC it is 2^32 SCs — minutes under saturation — so Packed64 is
-// an ablation/short-run engine: long-running deployments must either use
-// Dw128LLSC or retire/reconstruct the variable (epoch reset) before the
-// tag budget is spent. One word inside the envelope is also reserved: the
-// all-ones (value == kValueMask, tag == kMaxTag) packed word is the
-// kUnlinked sentinel, and installing it would make the next LL silently
-// drop its link (spurious SC/VL failure). Debug builds assert on both the
-// wrap and the sentinel; release builds degrade silently (tag arithmetic
-// is masked to kTagBits, so behavior stays defined — only the LL/SC
-// guarantees lapse). The `initial_tag` constructor parameter exists so
-// tests can exercise the boundary without 2^32 warm-up SCs.
+//   word          layout                 wraps    a stall is safe while
+//   ------------  ---------------------  -------  ------------------------
+//   X tag         buf(18) | tag(46)      2^46     an LL/VL/SC's link spans
+//                                                 < 2^46 - P successful SCs
+//   ring tag      buf(18) | tag(46)      2^46     a winner's X SC -> ring
+//                                                 swap spans < 2^45 SCs
+//   announce seq  state(2)|buf(18)|      2^44     a helper's probe -> mark
+//                 seq(44)                         spans < 2^44 of the
+//                                                 owner's announced LLs
+//
+// P is N rounded up to a power of two: aged validation reads drift mod
+// 2^46, and the ring's lapped test is signed, hence half its range. At
+// 10^9 successful SCs/s, 2^45 SCs take about ten hours. An unbounded
+// envelope needs other machinery: Blelloch & Wei, "LL/SC and Atomic Copy"
+// (PAPERS.md), give constant-time LL/SC from pointer-width CAS.
+//
+// Limits. jp uses 2N+R+1 buffers with R <= P, so N <= kMaxProcs = 2^16
+// keeps every index below 3*2^16+1 < 2^18 - 1: the all-ones word (the
+// kUnlinked link sentinel) is never installed. checked_nprocs, the first
+// initializer of the engine and of every object, throws for a larger N in
+// every build type.
 //
 // Per-process link state (the word observed at the last LL) is private to
 // the linking process and padded to its own cache line.
@@ -45,6 +51,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <stdexcept>
 
 namespace mwllsc {
 
@@ -65,35 +72,52 @@ struct Inspector;
 
 namespace llsc {
 
-namespace detail {
+// The descriptor word: buf(kBufBits) | tag(kTagBits).
+inline constexpr unsigned kBufBits = 18;
+inline constexpr unsigned kTagBits = 64 - kBufBits;
+inline constexpr std::uint64_t kBufMask = (std::uint64_t{1} << kBufBits) - 1;
+inline constexpr std::uint64_t kTagMask = (std::uint64_t{1} << kTagBits) - 1;
+inline constexpr std::uint32_t kMaxProcs = std::uint32_t{1} << 16;
+static_assert(3 * std::uint64_t{kMaxProcs} + 1 < kBufMask,
+              "jp's 2N+R+1 buffer indices must stay below all-ones");
+static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
+              "the engine needs a lock-free 64-bit CAS");
 
-/// Shared implementation: Word is the CAS granule, split into the low
-/// kValueBits of value and the remaining high bits of sequence tag.
-template <typename Word, unsigned kValueBitsParam, class Mem = NativeMemory>
-class SeqTagLLSC {
+constexpr std::uint64_t pack(std::uint32_t buf, std::uint64_t tag) {
+  return (tag << kBufBits) | (buf & kBufMask);
+}
+constexpr std::uint32_t buf_of(std::uint64_t w) {
+  return static_cast<std::uint32_t>(w & kBufMask);
+}
+constexpr std::uint64_t tag_of(std::uint64_t w) { return w >> kBufBits; }
+
+/// Returns nprocs, or throws std::invalid_argument if it is outside
+/// [1, kMaxProcs]. Every object runs this as its first initializer.
+inline std::uint32_t checked_nprocs(std::uint32_t nprocs) {
+  if (nprocs < 1 || nprocs > kMaxProcs) {
+    throw std::invalid_argument(
+        "mwllsc: nprocs must be in [1, llsc::kMaxProcs = 65536]");
+  }
+  return nprocs;
+}
+
+template <class Mem = NativeMemory>
+class BasicEngine {
   template <class T>
   using Atomic = typename Mem::template Atomic<T>;
 
  public:
-  static constexpr unsigned kValueBits = kValueBitsParam;
-  static constexpr unsigned kTagBits = sizeof(Word) * 8 - kValueBitsParam;
-  /// Largest tag value: the engine's ABA budget is kMaxTag successful SCs
-  /// (see the operating-envelope note in the header comment).
-  static constexpr std::uint64_t kMaxTag =
-      kTagBits >= 64 ? ~std::uint64_t{0}
-                     : (std::uint64_t{1} << kTagBits) - 1;
+  static constexpr unsigned kValueBits = kBufBits;
 
   /// `initial_tag` pre-ages the variable for wrap-boundary tests; normal
-  /// construction starts the tag at 0.
-  explicit SeqTagLLSC(std::uint32_t nprocs, std::uint64_t initial = 0,
-                      std::uint64_t initial_tag = 0)
-      : links_(new Link[nprocs]), n_(nprocs) {
-    assert(nprocs >= 1);
-    assert(initial_tag <= kMaxTag);
-    // All-ones is the kUnlinked sentinel; starting there is pathological
-    // (it needs both the maximum tag and the maximum value).
-    assert(pack(initial, initial_tag) != kUnlinked);
-    cell_.w.store(pack(initial, initial_tag), std::memory_order_relaxed);
+  /// construction starts the tag at 0. Throws std::invalid_argument if
+  /// nprocs is outside [1, kMaxProcs].
+  explicit BasicEngine(std::uint32_t nprocs, std::uint64_t initial = 0,
+                       std::uint64_t initial_tag = 0)
+      : links_(new Link[checked_nprocs(nprocs)]), n_(nprocs) {
+    assert(initial < kBufMask && initial_tag <= kTagMask);
+    cell_.w.store(pack(static_cast<std::uint32_t>(initial), initial_tag),
+                  std::memory_order_relaxed);
     for (std::uint32_t p = 0; p < nprocs; ++p) {
       links_[p].seen = kUnlinked;
     }
@@ -102,30 +126,21 @@ class SeqTagLLSC {
   /// Load-linked: returns the current value and links p to it. A later
   /// sc/vl by p succeeds iff no successful SC (by anyone) intervened.
   std::uint64_t ll(std::uint32_t p) {
-    const Word w = cell_.w.load(std::memory_order_acquire);
+    const std::uint64_t w = cell_.w.load(std::memory_order_acquire);
     links_[p].seen = w;
-    return value_of(w);
+    return buf_of(w);
   }
 
   /// Store-conditional: succeeds iff the variable still carries the exact
-  /// (value, tag) pair p linked to; installs v with the next tag.
+  /// (value, tag) pair p linked to; installs v with the next tag (mod
+  /// 2^46, see the envelope table).
   bool sc(std::uint32_t p, std::uint64_t v) {
-    Word expected = links_[p].seen;
+    std::uint64_t expected = links_[p].seen;
     links_[p].seen = kUnlinked;  // the link is consumed either way
     if (expected == kUnlinked) return false;
-    // Wrap detection: installing past kMaxTag re-enables ABA (operating
-    // envelope in the header comment). Masked so release builds stay
-    // defined; debug builds refuse to cross silently.
-    const std::uint64_t next_tag = (tag_of(expected) + 1) & kMaxTag;
-    assert(next_tag != 0 &&
-           "SeqTagLLSC tag wrapped: ABA budget exhausted — use Dw128LLSC "
-           "or epoch-reset the variable (see llsc.hpp operating envelope)");
-    const Word desired = pack(v, next_tag);
-    // The all-ones word is the kUnlinked sentinel: installing it would
-    // make the next LL record "no link" and fail spuriously.
-    assert(desired != kUnlinked &&
-           "SeqTagLLSC would install the kUnlinked sentinel (all-ones "
-           "value at the maximum tag — see llsc.hpp operating envelope)");
+    assert(v < kBufMask);  // keeps the kUnlinked word uninstallable
+    const std::uint64_t desired =
+        pack(static_cast<std::uint32_t>(v), (tag_of(expected) + 1) & kTagMask);
     // mwllsc-ordering: seq_cst(the SC CAS is the protocol's linearization
     // point: every successful SC is globally ordered, which the announce
     // sweep and the tag arithmetic in core/mwllsc.hpp both assume)
@@ -136,14 +151,14 @@ class SeqTagLLSC {
 
   /// Validate: true iff p's link is still current. Does not consume it.
   bool vl(std::uint32_t p) const {
-    const Word w = links_[p].seen;
+    const std::uint64_t w = links_[p].seen;
     if (w == kUnlinked) return false;
     return cell_.w.load(std::memory_order_acquire) == w;
   }
 
   /// Unlinked read of the current value.
   std::uint64_t peek() const {
-    return value_of(cell_.w.load(std::memory_order_acquire));
+    return buf_of(cell_.w.load(std::memory_order_acquire));
   }
 
   /// Tag of the word p linked to (for deterministic help scheduling).
@@ -159,33 +174,16 @@ class SeqTagLLSC {
   std::size_t private_bytes() const { return n_ * sizeof(Link); }
 
  private:
-  static constexpr Word kValueMask =
-      kValueBitsParam == sizeof(Word) * 8
-          ? static_cast<Word>(~Word{0})
-          : (Word{1} << kValueBitsParam) - 1;
-  // All-ones is unreachable: the tag would have to hit its maximum, which
-  // takes 2^kTagBits successful SCs.
-  static constexpr Word kUnlinked = static_cast<Word>(~Word{0});
-
-  static Word pack(std::uint64_t v, std::uint64_t tag) {
-    assert((static_cast<Word>(v) & ~kValueMask) == 0);
-    return (static_cast<Word>(tag) << kValueBitsParam) |
-           (static_cast<Word>(v) & kValueMask);
-  }
-  static std::uint64_t value_of(Word w) {
-    return static_cast<std::uint64_t>(w & kValueMask);
-  }
-  static std::uint64_t tag_of(Word w) {
-    return static_cast<std::uint64_t>(w >> kValueBitsParam);
-  }
+  // The all-ones word: its buffer field is never installed (Limits above).
+  static constexpr std::uint64_t kUnlinked = ~std::uint64_t{0};
 
   // A full line to itself: the CAS-hot variable must not share a cache
   // line with the read-mostly members (or the enclosing object's fields).
   struct alignas(64) Cell {
-    Atomic<Word> w;
+    Atomic<std::uint64_t> w;
   };
   struct alignas(64) Link {
-    Word seen;  // only process p reads/writes links_[p]
+    std::uint64_t seen;  // only process p reads/writes links_[p]
   };
 
   template <class>
@@ -196,10 +194,9 @@ class SeqTagLLSC {
   std::uint32_t n_;
 };
 
-}  // namespace detail
-
-using Dw128LLSC = detail::SeqTagLLSC<unsigned __int128, 64>;
-using Packed64LLSC = detail::SeqTagLLSC<std::uint64_t, 32>;
+using Engine = BasicEngine<>;
+/// The engine's former name, still spelled by perfbench/.
+using Dw128LLSC = Engine;
 
 }  // namespace llsc
 }  // namespace mwllsc

@@ -8,9 +8,11 @@
 // *spare* it writes its next SC value into and an *exchange* buffer it
 // offers through its announce slot (and reuses as help-copy scratch). R
 // buffers rest in the global *retirement ring*; the remaining buffer is
-// current. The 1-word LL/SC variable X holds the descriptor <pid, buf>;
+// current. The 1-word LL/SC variable X holds the current buffer's index;
 // its sequence tag is the abstract version: tag T's value is whatever the
-// T-th successful SC installed.
+// T-th successful SC installed. Every tag comparison is taken mod 2^46
+// (the envelope table in core/llsc.hpp), so the object runs across a tag
+// wrap unchanged.
 //
 // Fast path with aged validation. LL(p) first links X (tag T, buffer b),
 // copies b, then re-reads X's tag, announcing nothing: the snapshot is
@@ -79,6 +81,7 @@
 // by the helper's seq_cst mark CAS and need no reader-side validation —
 // ownership transfer makes the buffer private to the reader. ABA on the
 // announce word is bounded by the 44-bit seq; ring tags carry 46 bits.
+// Word formats and their envelopes are defined once, in core/llsc.hpp.
 #pragma once
 
 #include <atomic>
@@ -109,13 +112,13 @@ class MwLLSC {
   }
 
   MwLLSC(std::uint32_t nprocs, std::uint32_t words)
-      : n_(nprocs),
+      : n_(llsc::checked_nprocs(nprocs)),
         w_(words),
         p2_(next_pow2(nprocs)),
         ring_size_(p2_ < 2 ? 2 : p2_),
         nbufs_(2 * nprocs + ring_size_ + 1),
         stride_((words + 7) & ~7u),
-        x_(nprocs, pack_x(0, 2 * nprocs + ring_size_)),
+        x_(nprocs, 2 * nprocs + ring_size_),
         raw_buf_(new Atomic<std::uint64_t>[
             static_cast<std::size_t>(2 * nprocs + ring_size_ + 1) *
                 ((words + 7) & ~7u) + 7]),
@@ -123,7 +126,6 @@ class MwLLSC {
         announce_(new AnnounceSlot[nprocs]),
         priv_(new Priv[nprocs]),
         stats_(nprocs) {
-    assert(nprocs >= 1 && nprocs <= kMaxProcs);
     assert(words >= 1);
     // Align buffer row 0 to a cache line so the stride padding isolates
     // rows from each other (the false-sharing fix E2/E3 measure).
@@ -135,17 +137,19 @@ class MwLLSC {
     }
     // Buffer 2N+R is current (all-zero initial value); process p owns
     // spare p and exchange buffer N+p; ring cell j seeds buffer 2N+j with
-    // tag j-R (mod 2^46), already "aged" for the first real lap.
+    // the cell's last tag in [T0-R, T0), T0 being X's initial tag: already
+    // "aged" for the first real lap.
     for (std::uint32_t p = 0; p < n_; ++p) {
       priv_[p].spare = p;
       priv_[p].xbuf = n_ + p;
       announce_[p].a.store(pack_a(kIdle, n_ + p, 0),
                            std::memory_order_relaxed);
     }
+    const std::uint64_t t0 = x_.current_tag();
     for (std::uint32_t j = 0; j < ring_size_; ++j) {
       const std::uint64_t seed_tag =
-          (std::uint64_t{j} - ring_size_) & kRingTagMask;
-      ring_[j].w.store(pack_ring(2 * n_ + j, seed_tag),
+          (t0 - ring_size_ + ((j - t0) & (ring_size_ - 1))) & llsc::kTagMask;
+      ring_[j].w.store(llsc::pack(2 * n_ + j, seed_tag),
                        std::memory_order_relaxed);
     }
   }
@@ -289,12 +293,12 @@ class MwLLSC {
         }
       }
     }
-    if (!x_.sc(p, pack_x(p, me.spare))) {
+    if (!x_.sc(p, me.spare)) {
       trace_.emit(obs::EventKind::kScFail, p, me.seq);
       return false;
     }
     c.bump(c.sc_success);
-    const std::uint64_t mytag = (t + 1) & kRingTagMask;
+    const std::uint64_t mytag = (t + 1) & llsc::kTagMask;
     trace_.emit(obs::EventKind::kScCommit, p, mytag);
     // The previously-current buffer is ours until the ring swap resolves:
     // provisionally the spare, with the bank write marked pending so a
@@ -413,21 +417,6 @@ class MwLLSC {
   }
 
  private:
-  // X packs <pid, buf> into the engine's value bits: buf in the low 18,
-  // pid in the next 14 — fits the 32-bit value of the packed64 engine.
-  static constexpr std::uint32_t kBufBits = 18;
-  static constexpr std::uint32_t kPidBits = 14;
-  static constexpr std::uint32_t kMaxProcs = 1u << kPidBits;
-  static_assert(LLSC::kValueBits >= kBufBits + kPidBits,
-                "engine value too narrow for the <pid, buf> descriptor");
-
-  static std::uint64_t pack_x(std::uint32_t pid, std::uint32_t buf) {
-    return (static_cast<std::uint64_t>(pid) << kBufBits) | buf;
-  }
-  static std::uint32_t buf_of_x(std::uint64_t x) {
-    return static_cast<std::uint32_t>(x & ((1u << kBufBits) - 1));
-  }
-
   // Announce slot word: state(2) | buf(18) | seq(44).
   static constexpr std::uint64_t kIdle = 0;
   static constexpr std::uint64_t kWaiting = 1;
@@ -441,23 +430,9 @@ class MwLLSC {
   }
   static std::uint64_t state_of_a(std::uint64_t a) { return a & 3; }
   static std::uint32_t buf_of_a(std::uint64_t a) {
-    return static_cast<std::uint32_t>((a >> 2) & ((1u << kBufBits) - 1));
+    return llsc::buf_of(a >> 2);
   }
   static std::uint64_t seq_of_a(std::uint64_t a) { return a >> 20; }
-
-  // Ring cell word: buf(18) | tag(46). The tag's 2^46 envelope bounds ABA
-  // the same way the announce seq does.
-  static constexpr std::uint32_t kRingTagBits = 46;
-  static constexpr std::uint64_t kRingTagMask =
-      (std::uint64_t{1} << kRingTagBits) - 1;
-
-  static std::uint64_t pack_ring(std::uint32_t buf, std::uint64_t tag) {
-    return (tag << kBufBits) | buf;
-  }
-  static std::uint32_t ring_buf_of(std::uint64_t r) {
-    return static_cast<std::uint32_t>(r & ((1u << kBufBits) - 1));
-  }
-  static std::uint64_t ring_tag_of(std::uint64_t r) { return r >> kBufBits; }
 
   static std::uint32_t next_pow2(std::uint32_t v) {
     std::uint32_t p = 1;
@@ -470,7 +445,7 @@ class MwLLSC {
   };
 
   struct alignas(64) RingCell {
-    Atomic<std::uint64_t> w;
+    Atomic<std::uint64_t> w;  ///< X's format: buf(18) | tag(46)
   };
 
   static constexpr std::uint64_t kNoRetire = ~std::uint64_t{0};
@@ -502,11 +477,11 @@ class MwLLSC {
   /// drift is at most P (aged validation).
   std::uint64_t link_and_copy(std::uint32_t p, std::uint64_t* out,
                               std::uint32_t* b, std::uint64_t* t0) {
-    *b = buf_of_x(x_.ll(p));
+    *b = static_cast<std::uint32_t>(x_.ll(p));
     *t0 = x_.linked_tag(p);
     copy_out(*b, out);
     std::atomic_thread_fence(std::memory_order_acquire);
-    return x_.current_tag() - *t0;
+    return (x_.current_tag() - *t0) & llsc::kTagMask;
   }
 
   void copy_in(std::uint32_t b, const std::uint64_t* v) {
@@ -536,22 +511,22 @@ class MwLLSC {
         ring_[static_cast<std::uint32_t>(mytag) & (ring_size_ - 1)];
     for (;;) {
       const std::uint64_t rw = cell.w.load(std::memory_order_acquire);
-      const std::uint64_t d = (mytag - ring_tag_of(rw)) & kRingTagMask;
+      const std::uint64_t d = (mytag - llsc::tag_of(rw)) & llsc::kTagMask;
       // All tags in a cell are congruent mod R, so d is a multiple of R:
       // d >= R with the high bits clear means the cell is genuinely
       // behind us — swap our retiree in and take the aged buffer out.
       // Otherwise we were lapped: the cell moved past our tag while we
       // stalled, so the retiree has already aged >= R tags and stays the
       // spare.
-      if (d < ring_size_ || (d >> (kRingTagBits - 1))) break;
+      if (d < ring_size_ || (d >> (llsc::kTagBits - 1))) break;
       // The ring swap is the bank-write resolution: exactly one winner
       // per tag retires into the cell, which is what keeps invariant
       // I2 and the aging bound R.
       // mwllsc-ordering: seq_cst(one retiree per tag resolves the cell)
       std::uint64_t expect = rw;
-      if (cell.w.compare_exchange_strong(expect, pack_ring(retired, mytag),
+      if (cell.w.compare_exchange_strong(expect, llsc::pack(retired, mytag),
                                          std::memory_order_seq_cst)) {
-        me.spare = ring_buf_of(rw);
+        me.spare = llsc::buf_of(rw);
         break;
       }
       // Lost to another winner resolving this cell; re-read (bounded:

@@ -292,10 +292,11 @@ inline TraceCheckResult check_trace(const TraceData& d) {
 namespace detail {
 
 /// Key for matching a donation to its consumption: (var, helpee pid, seq).
+/// The pid field holds every pid below llsc::kMaxProcs = 2^16.
 inline std::uint64_t flow_id(std::uint32_t var, std::uint32_t pid,
                              std::uint64_t seq) {
-  return (seq & ((std::uint64_t{1} << 40) - 1)) << 24 |
-         (static_cast<std::uint64_t>(var & 0x3ff) << 14) | (pid & 0x3fff);
+  return (seq & ((std::uint64_t{1} << 38) - 1)) << 26 |
+         (static_cast<std::uint64_t>(var & 0x3ff) << 16) | (pid & 0xffff);
 }
 
 inline double us_of(const TraceData& d, std::uint64_t tsc) {

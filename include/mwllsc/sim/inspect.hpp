@@ -5,13 +5,10 @@
 //
 // The simulated instantiations are the shipped templates over sim::Memory:
 // Jp (core::MwLLSC), Am (baseline::AmLLSC) and Retry (baseline::RetryLLSC),
-// all over the Dw128-layout engine, plus JpPacked, the paper's protocol
-// over the Packed64-layout engine.
+// all over the one single-word engine.
 #pragma once
 
 #include <cstdint>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "baseline/am_llsc.hpp"
@@ -24,31 +21,29 @@ namespace mwllsc::sim {
 using Jp = core::MwLLSC<Engine, Memory>;
 using Am = baseline::AmLLSC<Engine, Memory>;
 using Retry = baseline::RetryLLSC<Engine, Memory>;
-using JpPacked = core::MwLLSC<PackedEngine, Memory>;
 
-/// A single-word engine: X's value and tag (the abstract version).
-template <typename Word, unsigned kValueBits>
-struct Inspector<llsc::detail::SeqTagLLSC<Word, kValueBits, Memory>> {
-  using E = llsc::detail::SeqTagLLSC<Word, kValueBits, Memory>;
-  static std::uint64_t value(const E& e) {
-    return E::value_of(e.cell_.w.peek());
+/// The single-word engine: X's buffer and tag (the abstract version).
+template <>
+struct Inspector<Engine> {
+  static std::uint32_t buf(const Engine& e) {
+    return llsc::buf_of(e.cell_.w.peek());
   }
-  static std::uint64_t tag(const E& e) {
-    return E::tag_of(e.cell_.w.peek());
+  static std::uint64_t tag(const Engine& e) {
+    return llsc::tag_of(e.cell_.w.peek());
   }
-  static const void* cell(const E& e) { return &e.cell_.w; }
+  static const void* cell(const Engine& e) { return &e.cell_.w; }
 };
 
-/// The am and retry baselines share the <pid, buf> descriptor layout over
-/// N+1 unpadded buffers; both validate strictly, so one successful SC
-/// dooms a pending validation.
+/// The am and retry baselines share one layout, N+1 unpadded buffers;
+/// both validate strictly, so one successful SC dooms a pending
+/// validation.
 template <class Object>
 struct Inspector {
-  using X = Inspector<std::decay_t<decltype(std::declval<Object>().x_)>>;
+  using X = Inspector<Engine>;
   static std::uint64_t version(const Object& o) { return X::tag(o.x_); }
   static const void* x_cell(const Object& o) { return X::cell(o.x_); }
   static std::vector<std::uint64_t> current_value(const Object& o) {
-    const std::uint32_t b = Object::buf_of_x(X::value(o.x_));
+    const std::uint32_t b = X::buf(o.x_);
     std::vector<std::uint64_t> v(o.w_);
     for (std::uint32_t i = 0; i < o.w_; ++i) {
       v[i] = o.buf_[static_cast<std::size_t>(b) * o.w_ + i].peek();
@@ -62,15 +57,12 @@ struct Inspector {
 };
 
 /// The paper's protocol: everything the I1 census and I2 equation read.
-template <class LLSC>
-struct Inspector<core::MwLLSC<LLSC, Memory>> {
-  using Jp = core::MwLLSC<LLSC, Memory>;
-  using X = Inspector<LLSC>;
+template <>
+struct Inspector<Jp> {
+  using X = Inspector<Engine>;
   static std::uint64_t version(const Jp& o) { return X::tag(o.x_); }
   static const void* x_cell(const Jp& o) { return X::cell(o.x_); }
-  static std::uint32_t current_buf(const Jp& o) {
-    return Jp::buf_of_x(X::value(o.x_));
-  }
+  static std::uint32_t current_buf(const Jp& o) { return X::buf(o.x_); }
   static std::vector<std::uint64_t> current_value(const Jp& o) {
     const auto* row = o.buf_row(current_buf(o));
     std::vector<std::uint64_t> v(o.w_);
@@ -86,7 +78,7 @@ struct Inspector<core::MwLLSC<LLSC, Memory>> {
   static std::uint32_t num_bufs(const Jp& o) { return o.nbufs_; }
   static std::uint32_t ring_size(const Jp& o) { return o.ring_size_; }
   static std::uint32_t ring_buf(const Jp& o, std::uint32_t j) {
-    return Jp::ring_buf_of(o.ring_[j].w.peek());
+    return llsc::buf_of(o.ring_[j].w.peek());
   }
   static std::uint32_t spare_of(const Jp& o, std::uint32_t p) {
     return o.priv_[p].spare;

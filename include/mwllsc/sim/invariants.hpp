@@ -199,9 +199,8 @@ class OracleChecker {
   std::vector<std::uint64_t> lin_;  ///< per pid: version of the last LL
 };
 
-/// Over either engine layout (Jp or JpPacked); JpChecker is the default.
-template <class Jp>
-class BasicJpChecker : public OracleChecker<Jp> {
+/// The oracle plus I1, I2 and the 4W+12 LL bound, for the paper's protocol.
+class JpChecker : public OracleChecker<Jp> {
   using Base = OracleChecker<Jp>;
   using Base::fail;
   using Base::steps_seen_;
@@ -211,7 +210,7 @@ class BasicJpChecker : public OracleChecker<Jp> {
  public:
   using Base::ok;
 
-  explicit BasicJpChecker(const SimWorkload<Jp>& wl)
+  explicit JpChecker(const SimWorkload<Jp>& wl)
       : Base(wl), n_(wl.n()), w_(wl.w()) {}
 
   void on_step(const SimWorkload<Jp>& wl) {
@@ -285,17 +284,15 @@ class BasicJpChecker : public OracleChecker<Jp> {
   std::vector<int> owners_;  ///< scratch for the I1 ownership census
 };
 
-using JpChecker = BasicJpChecker<Jp>;
-
 /// The strongest checker for an object: JpChecker for the paper's
 /// protocol, the linearizability oracle for the baselines.
 template <class Object>
 struct CheckerFor {
   using type = OracleChecker<Object>;
 };
-template <class LLSC>
-struct CheckerFor<core::MwLLSC<LLSC, Memory>> {
-  using type = BasicJpChecker<core::MwLLSC<LLSC, Memory>>;
+template <>
+struct CheckerFor<Jp> {
+  using type = JpChecker;
 };
 
 template <class Object>

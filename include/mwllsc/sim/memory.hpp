@@ -115,9 +115,7 @@ struct Memory {
   using Plain = SimPlain<T>;
 };
 
-/// The single-word engines under simulation, sim memory: Dw128's layout
-/// (the default) and Packed64's 32+32-bit layout.
-using Engine = llsc::detail::SeqTagLLSC<unsigned __int128, 64, Memory>;
-using PackedEngine = llsc::detail::SeqTagLLSC<std::uint64_t, 32, Memory>;
+/// The single-word engine under simulation, over sim memory.
+using Engine = llsc::BasicEngine<Memory>;
 
 }  // namespace mwllsc::sim

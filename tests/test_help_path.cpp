@@ -27,8 +27,7 @@
 //
 // In every case the reader's link is broken (its SC fails), and the object
 // stays fully functional afterwards: the JpChecker holds I1, I2 and the
-// oracle through the rest of both scripts. Every scenario runs on both
-// engine layouts: Jp (Dw128's 64+64 bits) and JpPacked (Packed64's 32+32).
+// oracle through the rest of both scripts.
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -50,16 +49,15 @@ struct Outcome {
   core::OpStatsSnapshot stats;                   // right after that LL
 };
 
-template <class Obj>
 Outcome stalled_ll(std::uint32_t first_scs, std::uint32_t second_scs) {
   WorkloadConfig cfg;
   cfg.ops_per_proc = first_scs + second_scs + 1;
   cfg.vl_percent = 0;
-  SimWorkload<Obj> wl(2, kW, cfg);
-  CheckerOf<Obj> chk(wl);
-  const Obj& obj = wl.object();
+  SimWorkload<Jp> wl(2, kW, cfg);
+  JpChecker chk(wl);
+  const Jp& obj = wl.object();
   Outcome out;
-  out.vals.push_back(Inspector<Obj>::current_value(obj));
+  out.vals.push_back(Inspector<Jp>::current_value(obj));
   // p1: k complete LL;SC rounds, recording each version's value.
   auto writer_rounds = [&](std::uint32_t k) {
     const std::uint64_t target = obj.stats().sc_success + k;
@@ -67,7 +65,7 @@ Outcome stalled_ll(std::uint32_t first_scs, std::uint32_t second_scs) {
       const std::uint64_t before = wl.version();
       wl.step(1, chk);
       if (wl.version() != before) {
-        out.vals.push_back(Inspector<Obj>::current_value(obj));
+        out.vals.push_back(Inspector<Jp>::current_value(obj));
       }
     }
     while (!wl.at_boundary(1)) wl.step(1, chk);
@@ -79,7 +77,7 @@ Outcome stalled_ll(std::uint32_t first_scs, std::uint32_t second_scs) {
   if (first_scs > 2) {
     // The attempt is doomed: p0 validates, announces, and links again —
     // parked before the announced attempt's first copy.
-    while (!Inspector<Obj>::announce_posted(obj, 0)) wl.step(0, chk);
+    while (!Inspector<Jp>::announce_posted(obj, 0)) wl.step(0, chk);
     wl.step(0, chk);
     writer_rounds(second_scs);
   }
@@ -111,9 +109,8 @@ Outcome stalled_ll(std::uint32_t first_scs, std::uint32_t second_scs) {
 // Drift 3 > P on both attempts: the rescue path. The reader must return
 // the donated snapshot with the slow/helped/rescue/help-install counters
 // firing exactly once, and the defensive retry arm must never run.
-template <class Obj>
 void rescue_path() {
-  const Outcome o = stalled_ll<Obj>(3, 3);
+  const Outcome o = stalled_ll(3, 3);
   CHECK_EQ(o.stats.ll_slow, 1u);
   CHECK_EQ(o.stats.helps_given, 1u);
   CHECK_EQ(o.stats.ll_helped, 1u);
@@ -130,9 +127,8 @@ void rescue_path() {
 // linked buffer sat in the ring, unrecycled — but a donation raced in, so
 // the withdraw CAS fails and the reader adopts the donated buffer without
 // using its value.
-template <class Obj>
 void aged_pass_with_donation() {
-  const Outcome o = stalled_ll<Obj>(3, 2);
+  const Outcome o = stalled_ll(3, 2);
   CHECK(o.ll.value == o.vals[3]);  // the snapshot the announced try linked
   CHECK_EQ(o.stats.ll_slow, 1u);
   CHECK_EQ(o.stats.helps_given, 1u);
@@ -144,9 +140,8 @@ void aged_pass_with_donation() {
 
 // Drift 1 < P on the announced attempt with no donation (tag 5's winner
 // probes its own slot): the plain aged-validation pass, clean withdraw.
-template <class Obj>
 void aged_pass_plain() {
-  const Outcome o = stalled_ll<Obj>(4, 1);
+  const Outcome o = stalled_ll(4, 1);
   CHECK(o.ll.value == o.vals[4]);
   CHECK_EQ(o.stats.ll_slow, 1u);
   CHECK_EQ(o.stats.helps_given, 0u);
@@ -158,9 +153,8 @@ void aged_pass_plain() {
 // Drift 2 = P on the first attempt: it passes unannounced. The winner of
 // tag 2 probed slot 0 and found it idle, so nothing was donated and nothing
 // needs withdrawing.
-template <class Obj>
 void unannounced_pass() {
-  const Outcome o = stalled_ll<Obj>(2, 0);
+  const Outcome o = stalled_ll(2, 0);
   CHECK(o.ll.value == o.vals[0]);  // the linked (initial) snapshot
   CHECK_EQ(o.stats.ll_slow, 0u);
   CHECK_EQ(o.stats.helps_given, 0u);
@@ -171,17 +165,11 @@ void unannounced_pass() {
 
 }  // namespace
 
-template <class Obj>
-void all_scenarios() {
-  rescue_path<Obj>();
-  aged_pass_with_donation<Obj>();
-  aged_pass_plain<Obj>();
-  unannounced_pass<Obj>();
-}
-
 int main() {
-  all_scenarios<Jp>();
-  all_scenarios<JpPacked>();
+  rescue_path();
+  aged_pass_with_donation();
+  aged_pass_plain();
+  unannounced_pass();
   std::printf("test_help_path: OK\n");
   return 0;
 }

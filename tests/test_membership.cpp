@@ -25,7 +25,7 @@ using membership::SlotRegistry;
 
 namespace {
 
-using Jp = core::MwLLSC<llsc::Dw128LLSC>;
+using Jp = core::MwLLSC<llsc::Engine>;
 using Managed = ManagedMwLLSC<Jp>;
 
 // ---------------------------------------------------------- slot registry

@@ -111,7 +111,7 @@ obs::TraceData traced_protocol_mt() {
   obs::TraceConfig cfg;
   cfg.capacity = 1u << 16;  // no wraparound: every event survives
   obs::TraceSink sink(kThreads, cfg);
-  core::MwLLSC<llsc::Dw128LLSC> obj(kThreads, kW);
+  core::MwLLSC<llsc::Engine> obj(kThreads, kW);
   obj.set_trace(&sink, 0);
 
   std::vector<std::thread> pool;
@@ -194,7 +194,7 @@ void truncation_tolerated() {
   obs::TraceConfig cfg;
   cfg.capacity = 64;  // force wraparound
   obs::TraceSink sink(1, cfg);
-  core::MwLLSC<llsc::Dw128LLSC> obj(1, 3);
+  core::MwLLSC<llsc::Engine> obj(1, 3);
   obj.set_trace(&sink, 0);
   std::vector<std::uint64_t> buf(3);
   for (int i = 0; i < 1000; ++i) {
@@ -228,7 +228,7 @@ void sampled_trace_skips_checks() {
   obs::TraceConfig cfg;
   cfg.sample_shift = 3;
   obs::TraceSink sink(1, cfg);
-  core::MwLLSC<llsc::Dw128LLSC> obj(1, 2);
+  core::MwLLSC<llsc::Engine> obj(1, 2);
   obj.set_trace(&sink, 0);
   std::vector<std::uint64_t> buf(2);
   for (int i = 0; i < 100; ++i) {

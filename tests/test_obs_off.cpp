@@ -43,7 +43,7 @@ int main() {
   // set_trace is accepted and ignored.
   {
     obs::TraceSink sink(1);
-    core::MwLLSC<llsc::Dw128LLSC> obj(1, 4);
+    core::MwLLSC<llsc::Engine> obj(1, 4);
     obj.set_trace(&sink, 0);
     std::vector<std::uint64_t> buf(4);
     for (int i = 0; i < 100; ++i) {
