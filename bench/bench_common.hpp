@@ -5,6 +5,12 @@
 #pragma once
 
 #include <atomic>
+#if defined(__x86_64__)
+#include <cpuid.h>
+#endif
+#if defined(__linux__)
+#include <sched.h>
+#endif
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -127,7 +133,9 @@ struct MixedResult {
 // Benches accept `--json <path>` and emit a flat machine-readable snapshot
 // instead of (or besides) their human tables, so each PR's numbers are a
 // diffable artifact rather than an anecdote. The format is deliberately
-// minimal: {"bench": ..., "schema": ..., "rows": [{k: v, ...}, ...]}.
+// minimal: {"bench": ..., "schema": ..., "rows": [{k: v, ...}, ...]}, and
+// the header records the git revision, compiler, CPU model and usable CPU
+// count so rows from different builds and machines can be told apart.
 
 /// Value of `--flag <value>` in argv, or "" if absent.
 inline std::string arg_value(int argc, char** argv, const char* flag) {
@@ -157,6 +165,49 @@ inline const char* git_describe() {
 #else
   return "unknown";
 #endif
+}
+
+/// The compiler that built this binary, e.g. "gcc 12.2.0".
+inline std::string compiler_id() {
+#if defined(__clang__)
+  return std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  return std::string("gcc ") + __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+
+/// The CPU's brand string (x86 cpuid), or "unknown".
+inline std::string cpu_model() {
+#if defined(__x86_64__)
+  unsigned regs[12] = {};
+  if (__get_cpuid_max(0x80000000u, nullptr) >= 0x80000004u) {
+    for (unsigned i = 0; i < 3; ++i) {
+      __get_cpuid(0x80000002u + i, &regs[4 * i], &regs[4 * i + 1],
+                  &regs[4 * i + 2], &regs[4 * i + 3]);
+    }
+    char brand[49] = {};
+    std::memcpy(brand, regs, 48);
+    const std::string s(brand);
+    const auto b = s.find_first_not_of(' ');
+    if (b != std::string::npos) return s.substr(b);
+  }
+#endif
+  return "unknown";
+}
+
+/// CPUs this process may run on (its affinity mask), falling back to
+/// hardware_concurrency().
+inline unsigned usable_cpus() {
+#if defined(__linux__)
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&set));
+  }
+#endif
+  return std::thread::hardware_concurrency();
 }
 
 /// Append-style JSON snapshot writer: begin_row(), then field() calls, then
@@ -190,6 +241,10 @@ class JsonEmitter {
                  bench_.c_str(), schema_.c_str());
     std::fprintf(f, "  \"schema_version\": %u,\n  \"git\": \"%s\",\n",
                  kBenchSchemaVersion, git_describe());
+    std::fprintf(f,
+                 "  \"compiler\": \"%s\",\n  \"cpu\": \"%s\",\n"
+                 "  \"nproc\": %u,\n",
+                 compiler_id().c_str(), cpu_model().c_str(), usable_cpus());
     std::fprintf(f, "  \"unix_time\": %lld,\n",
                  static_cast<long long>(std::time(nullptr)));
     std::fprintf(f, "  \"rows\": [\n");

@@ -5,15 +5,18 @@
 //   steady  threads == slots; each thread cycles join -> K fetch&adds ->
 //           retire. Measures the clean lease turnover rate: every join is
 //           a first-try wait-free slot claim, nothing ever degrades.
-//   churn   threads == 2x slots with cooperative crashes: every A-th
-//           session abandon()s its slot mid-lease (the crash seam the
-//           fault-injection tests drive) while a reaper thread runs
-//           orphan-only reclaim_scan()s. Joins race retirements,
-//           reclamations, and each other; exhausted joins retry and then
-//           fall over to the degraded lock-serialized pid. Measures
-//           throughput under realistic membership pressure and reports the
-//           degraded fraction so regressions in the recycling path (more
-//           degradation = slower recycling) show up in the trajectory.
+//   churn   2 x max(4, hardware threads) workers, capped at 16 (8 with
+//           --smoke), on 8 slots (4 with --smoke), with cooperative
+//           crashes: every A-th session abandon()s its slot mid-lease
+//           (the crash seam the fault-injection tests drive). The next
+//           join whose claim pass reaches an orphan adopts it; a reaper
+//           thread's reclaim_scan()s sweep the rest. Joins race retirements,
+//           reclamations, and each other; joins that find every slot held
+//           retry and then fall over to the degraded lock-serialized pid.
+//           Measures throughput under realistic membership pressure and
+//           reports the degraded fraction and join retries so regressions
+//           in the recycling path (more degradation = slower recycling)
+//           show up in the trajectory.
 //
 // Both scenarios verify the shared counter equals the number of successful
 // SCs before reporting, so a row is also a correctness witness.

@@ -1,16 +1,20 @@
 // Managed multiword LL/SC: the protocol object plus a process lifecycle
 // (DESIGN.md §10). Threads join() to obtain a Session — an RAII pid lease
 // drawn from a SlotRegistry — and call ll/sc/vl through it; retire (or
-// crash) returns the pid to the pool. The managed object owns the
-// crash-reclaim policy: reclaim_scan() recycles the slots of holders that
-// are certainly dead — they abandon()ed — and settles their announce-slot
-// help obligations (core reclaim_pid) so the survivors' 4W+12 step bound is
-// unaffected by the corpse. A holder that is merely quiet is never
-// condemned: the registry's heartbeat staleness is a guess, and reclaim_pid
-// rewrites the pid's private state, which a live holder still owns.
+// crash) returns the pid to the pool. A lease costs one shared RMW to join
+// (the claim CAS) and one to retire (the release CAS); the lifecycle
+// counters live in the slot's own line and are written only by its holder.
+//
+// The managed object owns the crash-reclaim policy: only holders that
+// abandon()ed are dead, and a holder that is merely quiet is never
+// condemned, because reclaim_pid rewrites the pid's private state. An
+// orphan is recycled by the first join whose claim pass reaches it (it
+// settles the dead pid's announce-slot help obligations with core
+// reclaim_pid, then takes the pid) or by reclaim_scan(); either way the
+// survivors' 4W+12 step bound is unaffected by the corpse.
 //
 // Graceful degradation: when every slot is held, join() runs a bounded
-// number of orphan-recycling retries and then falls over to a *degraded*
+// number of further claim passes and then falls over to a *degraded*
 // session — a pid reserved at construction whose LL..SC window is
 // serialized by a mutex. Degraded sessions keep the exact LL/SC/VL
 // semantics (they run the same protocol object, so they linearize with
@@ -39,10 +43,10 @@ namespace mwllsc::membership {
 struct MembershipSnapshot {
   std::uint64_t joins = 0;           ///< wait-free slot claims
   std::uint64_t degraded_joins = 0;  ///< joins that fell over to the lock
-  std::uint64_t join_retries = 0;    ///< exhaustion retries (scan + re-claim)
-  std::uint64_t retires = 0;         ///< clean releases
-  std::uint64_t crash_reclaims = 0;  ///< dead holders' slots recycled
-  std::uint64_t scans = 0;           ///< reclaim sweeps run
+  std::uint64_t join_retries = 0;    ///< claim passes after a full one failed
+  std::uint64_t retires = 0;         ///< clean releases (incl. degraded)
+  std::uint64_t crash_reclaims = 0;  ///< dead holders' pids settled
+  std::uint64_t scans = 0;           ///< reclaim_scan() sweeps run
   std::uint32_t active = 0;          ///< slots currently held (approximate)
   std::uint32_t capacity = 0;        ///< slot pool size
 };
@@ -119,8 +123,8 @@ class ManagedMwLLSC {
     }
 
     /// Clean retirement. Returns false only if the slot was no longer this
-    /// session's to release; reclaim_scan() never takes an ACTIVE slot, so
-    /// with this layer's policy that does not happen.
+    /// session's to release; nothing reclaims an ACTIVE slot, so with this
+    /// layer's policy that does not happen.
     bool retire() MWLLSC_NO_TSA {
       if (!parent_) return true;
       ManagedMwLLSC* p = parent_;
@@ -128,26 +132,23 @@ class ManagedMwLLSC {
       if (degraded_) {
         if (!lock_held_) p->degraded_mu_.lock();
         p->trace_.emit(obs::EventKind::kProcRetire, p->reserved_pid(), 0, 1);
+        bump(p->c_.degraded_retires);
         p->degraded_mu_.unlock();
         lock_held_ = false;
-        p->c_.retires.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
-      const std::uint32_t id = slot_.id();
-      const std::uint64_t gen = slot_.generation();
       // Emit before release: after the release CAS the pid may instantly
       // be claimed by another thread, and pid streams are single-writer.
-      p->trace_.emit(obs::EventKind::kProcRetire, id, gen);
-      const bool ok = slot_.release();
-      p->c_.retires.fetch_add(1, std::memory_order_relaxed);
-      return ok;
+      p->trace_.emit(obs::EventKind::kProcRetire, slot_.id(),
+                     slot_.generation());
+      return slot_.release();  // counts the retire, then the release CAS
     }
 
     /// Crash-stop seam: walk away mid-whatever. A wait-free session's slot
-    /// goes ORPHANED for the reclaimer; a degraded session releases the
-    /// lock (a *real* crash inside the degraded window would wedge the
-    /// degraded path — that is the documented cost of degradation, and
-    /// simulating it would just deadlock the test).
+    /// goes ORPHANED for the next joiner or reclaim_scan(); a degraded
+    /// session releases the lock (a *real* crash inside the degraded window
+    /// would wedge the degraded path — that is the documented cost of
+    /// degradation, and simulating it would just deadlock the test).
     void abandon() MWLLSC_NO_TSA {
       if (!parent_) return;
       ManagedMwLLSC* p = parent_;
@@ -184,55 +185,40 @@ class ManagedMwLLSC {
     assert(slots >= 1);
   }
 
-  /// Acquires a session. Wait-free while slots are available (one bounded
-  /// claim pass). Under exhaustion: up to `join_retries` rounds of
-  /// orphan-recycling scans, then the degraded lock-serialized session.
-  /// Never fails, never blocks.
+  /// Acquires a session. Wait-free while a slot is FREE or ORPHANED (one
+  /// claim pass, which adopts an orphan after settling its pid). Under
+  /// exhaustion: up to `join_retries` more passes, then the degraded
+  /// lock-serialized session. Never fails, never blocks.
   Session join() {
     for (std::uint32_t attempt = 0;; ++attempt) {
-      const std::uint32_t s = reg_.try_acquire();
+      const std::uint32_t s = reg_.try_acquire(settle());
       if (s != SlotRegistry::kNone) {
         // Sync the pid's private protocol state with however the previous
         // incarnation left the announce word (retired or reclaimed).
         impl_.rebind_pid(s);
-        c_.joins.fetch_add(1, std::memory_order_relaxed);
         trace_.emit(obs::EventKind::kProcJoin, s, reg_.generation(s), 0);
         return Session(this, ProcessSlot(&reg_, s));
       }
       if (attempt >= join_retries_) break;
       c_.join_retries.fetch_add(1, std::memory_order_relaxed);
-      reclaim_scan();
     }
-    c_.degraded_joins.fetch_add(1, std::memory_order_relaxed);
     {
       // Serialize the emit: degraded sessions share the reserved pid's
       // trace stream, which is single-writer by contract.
       util::MutexLock g(degraded_mu_);
+      bump(c_.degraded_joins);
       trace_.emit(obs::EventKind::kProcJoin, reserved_pid(), 0, 1);
     }
     return Session(this);
   }
 
-  /// Reclaim sweep over ORPHANED slots only (SlotRegistry::scan with
-  /// include_stale=false). For every abandoned holder this settles the
-  /// pid's obligations (core reclaim_pid) before the slot can be
-  /// re-claimed, so a new holder inherits a quiescent pid and survivors'
-  /// help bookkeeping stays exact. Heartbeat-stale ACTIVE slots are left
-  /// alone: reclaim_pid's precondition is a holder that takes no further
-  /// steps, and staleness cannot establish that. Safe to call at any time
-  /// and from any thread.
+  /// Lock-free sweep that recycles every ORPHANED slot no joiner has
+  /// adopted, settling each dead pid (core reclaim_pid) before the slot can
+  /// be claimed again. ACTIVE slots are never touched. Safe to call at any
+  /// time and from any thread.
   std::uint32_t reclaim_scan() {
     c_.scans.fetch_add(1, std::memory_order_relaxed);
-    return reg_.scan(
-        [this](std::uint32_t s) {
-          // Safe to touch pid s here: the holder abandon()ed the slot (its
-          // acq_rel CAS publishes every private write of its last op to
-          // this scanner's acq_rel RECLAIMING CAS) and no new holder can
-          // claim it until the scan frees it — the pid stays single-writer.
-          impl_.reclaim_pid(s);
-          c_.crash_reclaims.fetch_add(1, std::memory_order_relaxed);
-        },
-        /*include_stale=*/false);
+    return reg_.scan(settle());
   }
 
   std::uint32_t words() const { return impl_.words(); }
@@ -248,12 +234,14 @@ class ManagedMwLLSC {
   }
 
   MembershipSnapshot membership() const {
+    const SlotCounts slots = reg_.counts();
     MembershipSnapshot s;
-    s.joins = c_.joins.load(std::memory_order_relaxed);
+    s.joins = slots.joins;
     s.degraded_joins = c_.degraded_joins.load(std::memory_order_relaxed);
     s.join_retries = c_.join_retries.load(std::memory_order_relaxed);
-    s.retires = c_.retires.load(std::memory_order_relaxed);
-    s.crash_reclaims = c_.crash_reclaims.load(std::memory_order_relaxed);
+    s.retires =
+        slots.retires + c_.degraded_retires.load(std::memory_order_relaxed);
+    s.crash_reclaims = slots.crash_reclaims;
     s.scans = c_.scans.load(std::memory_order_relaxed);
     s.active = reg_.active();
     s.capacity = reg_.capacity();
@@ -301,15 +289,22 @@ class ManagedMwLLSC {
   SlotRegistry& registry() { return reg_; }
 
  private:
-  /// Lifecycle counters, one line so the hot protocol state never false-
-  /// shares with bookkeeping (alignas satisfies the R5 padding rule for
-  /// every member).
+  /// Cleanup for a dead holder's pid, run by whoever wins its slot's
+  /// RECLAIMING CAS. Safe to touch pid s there: the holder abandon()ed (its
+  /// acq_rel CAS publishes every private write of its last op to the
+  /// reclaimer's acq_rel CAS) and nobody else can take the slot until the
+  /// reclaimer hands it on, so the pid stays single-writer.
+  auto settle() {
+    return [this](std::uint32_t s) { impl_.reclaim_pid(s); };
+  }
+
+  /// Counters off the lease path (the per-slot ones live in the registry),
+  /// one line so the hot protocol state never false-shares with them. The
+  /// degraded pair is written under degraded_mu_.
   struct alignas(64) Counters {
-    std::atomic<std::uint64_t> joins{0};
     std::atomic<std::uint64_t> degraded_joins{0};
+    std::atomic<std::uint64_t> degraded_retires{0};
     std::atomic<std::uint64_t> join_retries{0};
-    std::atomic<std::uint64_t> retires{0};
-    std::atomic<std::uint64_t> crash_reclaims{0};
     std::atomic<std::uint64_t> scans{0};
   };
 

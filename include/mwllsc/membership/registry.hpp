@@ -4,33 +4,35 @@
 // of and back into, so "N processes" becomes "at most N *concurrent*
 // sessions" drawn from an unbounded thread population.
 //
-// Each slot is a generation-tagged word — state(2) | generation(62) — plus
-// a heartbeat counter, both on the slot's own cache line. The lifecycle is
-// a four-state machine, every transition bumping the generation so a slot
+// Each slot is one cache line: a generation-tagged word — state(2) |
+// generation(62) — and the slot's lifecycle counters. The lifecycle is a
+// four-state machine, every transition bumping the generation so a slot
 // handle from one incarnation can never act on a later one:
 //
 //     FREE --claim--> ACTIVE --release--> FREE
-//                       |  \--abandon--> ORPHANED --reclaim--> FREE
-//                       \--heartbeat stale--> RECLAIMING --> FREE
+//                       \--abandon--> ORPHANED --reclaim--> RECLAIMING
+//     RECLAIMING --sweep--> FREE,  or  --adopt--> ACTIVE (the joiner's)
 //
-// Claiming is a bounded single pass of CAS attempts over the array (at
-// most `capacity` CASes, wait-free); release is one CAS. Crash-stopped
-// holders are detected two ways:
-//   * cooperatively — abandon() marks the slot ORPHANED (the test/bench
-//     seam that *simulates* a crash deterministically);
-//   * by heartbeat — scan() watches each ACTIVE slot's heartbeat and
-//     declares a holder dead after `suspect_scans` consecutive scans
-//     without a beat. This is inherently heuristic: the caller must space
-//     scans so that (suspect_scans x spacing) comfortably exceeds any
-//     legitimate quiet period, and live holders should beat() when idle.
-//     A holder whose release CAS fails learns it was presumed dead. A
-//     stale holder may still be running, so the cleanup for it must not
-//     touch its private state; the managed layer (managed.hpp) therefore
-//     never condemns by staleness.
-// Reclamation is two-phase: the scanner CASes the slot to RECLAIMING
-// (exactly one scanner wins), runs the caller's cleanup — which settles
-// the dead process's announce-slot help obligations (core reclaim_pid) so
-// survivors' 4W+12 bound holds — and only then frees the slot.
+// Claiming is one pass of at most `capacity` CASes (wait-free) that takes
+// the first FREE or ORPHANED slot. The pass starts at the calling thread's
+// own index, fixed for its lifetime, so a thread that leases again finds
+// its previous slot first and the pid's private lines stay on its core.
+// Release is one CAS. Neither touches any other shared line.
+//
+// abandon() is the only death verdict: the holder itself marks its slot
+// ORPHANED and takes no further steps. No holder is ever presumed dead, so
+// cleanup may rewrite a dead pid's private state. Reclamation is two-phase:
+// the ORPHANED -> RECLAIMING CAS has exactly one winner, which runs the
+// caller's cleanup — settling the dead process's announce-slot help
+// obligations (core reclaim_pid) so survivors' 4W+12 bound holds — and only
+// then hands the slot on: to the joiner that adopted it in its claim pass,
+// or back to FREE after a scan().
+//
+// Counters: each slot's joins, retires and crash_reclaims are written only
+// by the slot's current holder (the claimer, the holder before its release
+// CAS, the reclaimer in RECLAIMING) with a relaxed load + store; the acq_rel
+// slot CASes order one holder's writes before the next one's. counts()
+// sums them.
 #pragma once
 
 #include <atomic>
@@ -38,11 +40,22 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
-#include <vector>
-
-#include "util/thread_safety.hpp"
 
 namespace mwllsc::membership {
+
+/// Increments a counter that has one writer at a time (a slot's holder, or
+/// whoever holds the degraded lock): a relaxed load + store, the idiom of
+/// util::OpStatsCell::bump, not a locked RMW.
+inline void bump(std::atomic<std::uint64_t>& c) {
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
+/// Lifecycle counters summed over a registry's slots.
+struct SlotCounts {
+  std::uint64_t joins = 0;           ///< claims (FREE or adopted ORPHANED)
+  std::uint64_t retires = 0;         ///< clean releases
+  std::uint64_t crash_reclaims = 0;  ///< orphans reclaimed (adopted or swept)
+};
 
 class SlotRegistry {
  public:
@@ -53,11 +66,8 @@ class SlotRegistry {
   static constexpr std::uint64_t kOrphaned = 2;
   static constexpr std::uint64_t kReclaiming = 3;
 
-  explicit SlotRegistry(std::uint32_t capacity, std::uint32_t suspect_scans = 3)
-      : cap_(capacity),
-        suspect_scans_(suspect_scans < 1 ? 1 : suspect_scans),
-        slots_(new Slot[capacity]),
-        seen_(capacity) {
+  explicit SlotRegistry(std::uint32_t capacity)
+      : cap_(capacity), slots_(new Slot[capacity]) {
     assert(capacity >= 1);
   }
 
@@ -66,55 +76,61 @@ class SlotRegistry {
   /// Shared bytes the slot array occupies (for footprint accounting).
   std::size_t slot_bytes() const { return cap_ * sizeof(Slot); }
 
-  /// One bounded pass of claim attempts, rotating the start index so
-  /// concurrent joiners spread out. Returns the claimed slot id or kNone —
-  /// at most `capacity` CAS attempts, no waiting, no retry loop per slot
-  /// (a lost race just moves on; the caller owns the retry policy).
-  std::uint32_t try_acquire() {
-    const std::uint32_t start = rr_.fetch_add(1, std::memory_order_relaxed);
-    for (std::uint32_t i = 0; i < cap_; ++i) {
-      const std::uint32_t s = (start + i) % cap_;
-      std::uint64_t w = slots_[s].word.load(std::memory_order_relaxed);
-      if (state_of(w) != kFree) continue;
-      // Acquire pairs with the releasing/reclaiming transition that freed
-      // the slot: the new holder sees the previous incarnation's cleanup.
-      if (slots_[s].word.compare_exchange_strong(
-              w, pack(kActive, gen_of(w) + 1), std::memory_order_acq_rel,
-              std::memory_order_relaxed)) {
-        // No staleness reset here: scan() re-keys its suspicion counter on
-        // the generation, which this claim just bumped. Touching seen_
-        // would race the scanner (seen_ is scan_mu_-guarded).
-        return s;
+  /// One pass of claim attempts from this thread's start index. Takes the
+  /// first FREE slot, or adopts the first ORPHANED one: `on_dead(slot)`
+  /// runs while the slot is RECLAIMING, before it turns ACTIVE for the
+  /// caller. Returns the slot id or kNone — at most `capacity` CASes plus
+  /// one cleanup, no retry loop per slot (a lost race just moves on; the
+  /// caller owns the retry policy).
+  template <class OnDead>
+  std::uint32_t try_acquire(OnDead&& on_dead) {
+    std::uint32_t s = thread_ordinal() % cap_;
+    for (std::uint32_t i = 0; i < cap_; ++i, s = s + 1 == cap_ ? 0 : s + 1) {
+      Slot& slot = slots_[s];
+      std::uint64_t w = slot.word.load(std::memory_order_relaxed);
+      if (state_of(w) == kFree) {
+        // Acquire pairs with the release or sweep that freed the slot: the
+        // new holder sees the previous incarnation's writes and cleanup.
+        if (!slot.word.compare_exchange_strong(
+                w, pack(kActive, gen_of(w) + 1), std::memory_order_acq_rel,
+                std::memory_order_relaxed)) {
+          continue;
+        }
+      } else if (state_of(w) == kOrphaned && reclaim(s, w, on_dead)) {
+        // RECLAIMING is ours alone; our own release CAS later publishes.
+        slot.word.store(pack(kActive, gen_of(w) + 2),
+                        std::memory_order_relaxed);
+      } else {
+        continue;
       }
+      bump(slot.joins);
+      return s;
     }
     return kNone;
   }
 
-  /// Releases a held slot. Returns false if the slot was reclaimed out
-  /// from under the holder (a heartbeat false positive — see the header
-  /// comment; the holder must treat its session as crashed, not retired).
+  /// Releases a held slot. Returns false, counting nothing, if `gen` is not
+  /// the slot's current ACTIVE incarnation (a second release of one lease).
   bool release(std::uint32_t s, std::uint64_t gen) {
+    Slot& slot = slots_[s];
     std::uint64_t w = pack(kActive, gen);
-    return slots_[s].word.compare_exchange_strong(
-        w, pack(kFree, gen + 1), std::memory_order_acq_rel,
-        std::memory_order_relaxed);
+    if (slot.word.load(std::memory_order_relaxed) != w) return false;
+    // Only the holder moves an ACTIVE slot, so the slot is still ours:
+    // count before the CAS, after which the next holder owns the counters.
+    bump(slot.retires);
+    return slot.word.compare_exchange_strong(w, pack(kFree, gen + 1),
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_relaxed);
   }
 
   /// Cooperative crash simulation: the holder walks away without cleaning
-  /// up, leaving the slot for the reclaimer. Returns false if a concurrent
-  /// reclaim already took the slot.
+  /// up, leaving the slot for an adopting joiner or scan(). Returns false if
+  /// `gen` is not the slot's current ACTIVE incarnation.
   bool abandon(std::uint32_t s, std::uint64_t gen) {
     std::uint64_t w = pack(kActive, gen);
     return slots_[s].word.compare_exchange_strong(
         w, pack(kOrphaned, gen + 1), std::memory_order_acq_rel,
         std::memory_order_relaxed);
-  }
-
-  /// Holder liveness signal for scan()'s staleness judgement. Callers that
-  /// use staleness beat once per operation and periodically when idle
-  /// (the managed layer does not use staleness, so it never beats).
-  void beat(std::uint32_t s) {
-    slots_[s].heartbeat.fetch_add(1, std::memory_order_relaxed);
   }
 
   std::uint64_t generation(std::uint32_t s) const {
@@ -137,55 +153,33 @@ class SlotRegistry {
     return n;
   }
 
-  /// Reclaim sweep. Recycles every ORPHANED slot, and — when
-  /// `include_stale` — every ACTIVE slot whose heartbeat has not moved for
-  /// `suspect_scans` consecutive scans. For each dead slot, `on_dead(slot)`
-  /// runs strictly between the RECLAIMING transition and the FREE one, so
-  /// cleanup (settling the dead pid's protocol obligations) is complete
-  /// before any new holder can claim the slot. Returns slots reclaimed.
-  ///
-  /// Only an ORPHANED slot's holder is certainly dead: its abandon() CAS
-  /// publishes its last writes to the scanner's RECLAIMING CAS, and it
-  /// takes no further steps. A stale ACTIVE slot's holder may be merely
-  /// descheduled and resume at any time, so `on_dead` for it must not
-  /// touch state that holder owns (core reclaim_pid rewrites the pid's
-  /// private state and so requires the orphaned case; ManagedMwLLSC
-  /// always passes include_stale=false).
+  /// Counters summed over the slots (racy against live holders, like
+  /// active(); exact once they are quiescent).
+  SlotCounts counts() const {
+    SlotCounts c;
+    for (std::uint32_t s = 0; s < cap_; ++s) {
+      c.joins += slots_[s].joins.load(std::memory_order_relaxed);
+      c.retires += slots_[s].retires.load(std::memory_order_relaxed);
+      c.crash_reclaims +=
+          slots_[s].crash_reclaims.load(std::memory_order_relaxed);
+    }
+    return c;
+  }
+
+  /// Lock-free sweep: reclaims every ORPHANED slot that no joiner adopts
+  /// first. `on_dead(slot)` runs strictly between the RECLAIMING transition
+  /// and the FREE one, so cleanup is complete before any new holder can
+  /// claim the slot. Returns slots reclaimed.
   template <class OnDead>
-  std::uint32_t scan(OnDead&& on_dead, bool include_stale = true) {
-    util::MutexLock g(scan_mu_);
+  std::uint32_t scan(OnDead&& on_dead) {
     std::uint32_t reclaimed = 0;
     for (std::uint32_t s = 0; s < cap_; ++s) {
-      std::uint64_t w = slots_[s].word.load(std::memory_order_acquire);
-      const std::uint64_t st = state_of(w);
-      if (st == kOrphaned) {
-        if (begin_reclaim(s, w)) {
-          on_dead(s);
-          finish_reclaim(s, gen_of(w) + 1);
-          ++reclaimed;
-        }
-        continue;
-      }
-      if (st != kActive) {
-        seen_[s].stale = 0;
-        continue;
-      }
-      const std::uint64_t hb =
-          slots_[s].heartbeat.load(std::memory_order_relaxed);
-      ScanState& seen = seen_[s];
-      if (seen.gen != gen_of(w) || seen.hb != hb) {
-        seen.gen = gen_of(w);
-        seen.hb = hb;
-        seen.stale = 0;
-        continue;
-      }
-      if (!include_stale) continue;
-      if (++seen.stale < suspect_scans_) continue;
-      if (begin_reclaim(s, w)) {
-        on_dead(s);
-        finish_reclaim(s, gen_of(w) + 1);
-        ++reclaimed;
-      }
+      const std::uint64_t w = slots_[s].word.load(std::memory_order_relaxed);
+      if (state_of(w) != kOrphaned || !reclaim(s, w, on_dead)) continue;
+      // Release publishes the cleanup to the next claimant's acquire CAS.
+      slots_[s].word.store(pack(kFree, gen_of(w) + 2),
+                           std::memory_order_release);
+      ++reclaimed;
     }
     return reclaimed;
   }
@@ -197,51 +191,47 @@ class SlotRegistry {
   static std::uint64_t state_of(std::uint64_t w) { return w & 3; }
   static std::uint64_t gen_of(std::uint64_t w) { return w >> 2; }
 
-  bool begin_reclaim(std::uint32_t s, std::uint64_t expect) {
-    // Acq_rel: exactly one scanner wins the transition, and it observes
-    // everything the dead holder published before its last transition.
-    return slots_[s].word.compare_exchange_strong(
-        expect, pack(kReclaiming, gen_of(expect) + 1),
-        std::memory_order_acq_rel, std::memory_order_relaxed);
+  /// The calling thread's claim-pass start, drawn once per thread from a
+  /// process-wide counter; consecutive threads start on distinct slots.
+  static std::uint32_t thread_ordinal() {
+    // mwllsc-pad: exempt(process-wide thread counter, bumped once per
+    // thread at its first join; nothing hot shares its line)
+    static std::atomic<std::uint32_t> next{0};
+    thread_local const std::uint32_t ordinal =
+        next.fetch_add(1, std::memory_order_relaxed);
+    return ordinal;
   }
 
-  // Caller (scan) holds scan_mu_, so the seen_ write is serialized.
-  void finish_reclaim(std::uint32_t s, std::uint64_t gen_mid) {
-    seen_[s].stale = 0;
-    // Release publishes the cleanup (core reclaim_pid) to the next
-    // claimant's acquire CAS.
-    slots_[s].word.store(pack(kFree, gen_mid + 1),
-                         std::memory_order_release);
+  /// ORPHANED -> RECLAIMING, then cleanup. Acq_rel: exactly one reclaimer
+  /// wins, and it observes everything the dead holder published with its
+  /// abandon CAS, so the dead pid stays single-writer.
+  template <class OnDead>
+  bool reclaim(std::uint32_t s, std::uint64_t w, OnDead& on_dead) {
+    if (!slots_[s].word.compare_exchange_strong(
+            w, pack(kReclaiming, gen_of(w) + 1), std::memory_order_acq_rel,
+            std::memory_order_relaxed)) {
+      return false;
+    }
+    on_dead(s);
+    bump(slots_[s].crash_reclaims);
+    return true;
   }
 
   struct alignas(64) Slot {
     std::atomic<std::uint64_t> word{pack(kFree, 0)};
-    std::atomic<std::uint64_t> heartbeat{0};
-  };
-
-  /// Per-slot staleness bookkeeping, guarded by scan_mu_ (scans are a cold
-  /// maintenance path; serializing them keeps the suspicion counters
-  /// race-free without per-slot atomics).
-  struct ScanState {
-    std::uint64_t gen = ~std::uint64_t{0};
-    std::uint64_t hb = 0;
-    std::uint32_t stale = 0;
+    std::atomic<std::uint64_t> joins{0};
+    std::atomic<std::uint64_t> retires{0};
+    std::atomic<std::uint64_t> crash_reclaims{0};
   };
 
   const std::uint32_t cap_;
-  const std::uint32_t suspect_scans_;
   std::unique_ptr<Slot[]> slots_;
-  // mwllsc-pad: exempt(cold claim-start rotor, bumped once per join
-  // attempt; nothing hot shares its line)
-  std::atomic<std::uint32_t> rr_{0};
-  util::Mutex scan_mu_;
-  std::vector<ScanState> seen_ MWLLSC_GUARDED_BY(scan_mu_);
 };
 
 /// RAII slot guard: releases the slot on destruction. Move-only; the test
 /// and bench seam abandon() turns the guard into a simulated crash (the
-/// slot is left ORPHANED for the reclaimer and the destructor does
-/// nothing).
+/// slot is left ORPHANED for the next joiner or scan, and the destructor
+/// does nothing).
 class ProcessSlot {
  public:
   ProcessSlot() = default;
@@ -269,8 +259,8 @@ class ProcessSlot {
   std::uint32_t id() const { return slot_; }
   std::uint64_t generation() const { return gen_; }
 
-  /// Returns false on a heartbeat false positive (the slot was reclaimed
-  /// out from under us); the holder must not reuse the pid either way.
+  /// Returns false if the lease was no longer this guard's to release; the
+  /// holder must not reuse the pid either way.
   bool release() {
     if (!reg_) return true;
     const bool ok = reg_->release(slot_, gen_);

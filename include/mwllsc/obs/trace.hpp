@@ -120,7 +120,7 @@ class alignas(64) TraceRing {
 
   void record(EventKind k, std::uint16_t pid, std::uint32_t var,
               std::uint64_t tag, std::uint32_t arg) {
-    if ((seen_++ & sample_mask_) != 0) return;  // sampling knob
+    if ((offered_++ & sample_mask_) != 0) return;  // sampling knob
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     TraceEvent& e = slots_[h & mask_];
     e.tsc = trace_now();
@@ -155,7 +155,7 @@ class alignas(64) TraceRing {
  private:
   std::unique_ptr<TraceEvent[]> slots_;
   std::atomic<std::uint64_t> head_{0};
-  std::uint64_t seen_ = 0;  // single-writer sampling counter
+  std::uint64_t offered_ = 0;  // single-writer sampling counter
   std::uint64_t cap_ = 0;
   std::uint64_t mask_ = 0;
   std::uint64_t sample_mask_ = 0;

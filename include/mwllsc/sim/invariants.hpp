@@ -77,7 +77,7 @@ class OracleChecker {
 
   void on_step(const SimWorkload<Object>& wl) {
     if (failed_) return;
-    ++steps_seen_;
+    ++step_count_;
     record(wl);
   }
 
@@ -164,7 +164,7 @@ class OracleChecker {
     error_ = buf;
   }
 
-  std::uint64_t steps_seen_ = 0;
+  std::uint64_t step_count_ = 0;
 
  private:
   // Tracks the abstract state: one step applies at most one successful SC,
@@ -203,7 +203,7 @@ class OracleChecker {
 class JpChecker : public OracleChecker<Jp> {
   using Base = OracleChecker<Jp>;
   using Base::fail;
-  using Base::steps_seen_;
+  using Base::step_count_;
   using Base::ull;
   using Peek = Inspector<Jp>;
 
@@ -221,7 +221,7 @@ class JpChecker : public OracleChecker<Jp> {
     if (wl.object().stats().ll_retries > 0) {
       fail("defensive LL retry fired at step %llu — the 4W+12 help "
            "guarantee is broken",
-           ull(steps_seen_));
+           ull(step_count_));
     }
   }
 
@@ -250,7 +250,7 @@ class JpChecker : public OracleChecker<Jp> {
         return fail("I1 violated at step %llu: buffer %u has %d owners "
                     "(want exactly 1: current, a spare, an exchange "
                     "side, or a ring cell)",
-                    ull(steps_seen_), b, owners_[b]);
+                    ull(step_count_), b, owners_[b]);
       }
     }
   }
@@ -274,7 +274,7 @@ class JpChecker : public OracleChecker<Jp> {
       fail("I2 violated at step %llu: %llu+%llu bank writes "
            "(done+pending), %llu successful SCs, version %llu (want one "
            "bank write per successful SC)",
-           ull(steps_seen_), ull(s.bank_writes), ull(pending),
+           ull(step_count_), ull(s.bank_writes), ull(pending),
            ull(s.sc_success), ull(wl.version()));
     }
   }

@@ -1,8 +1,10 @@
 // The process lifecycle layer (DESIGN.md §10): SlotRegistry state machine,
 // ProcessSlot RAII, ManagedMwLLSC join/retire/crash-reclaim over the real
-// protocol object, graceful degradation under slot exhaustion, lifecycle
-// trace events through the offline checker, and a multithreaded churn run (threads > slots)
-// with cooperative crashes and a maintenance reclaimer.
+// protocol object, orphan adoption in the claim pass, per-thread pid
+// affinity, graceful degradation under slot exhaustion, lifecycle trace
+// events through the offline checker, and multithreaded churn runs
+// (threads > slots) with cooperative crashes, with and without a
+// maintenance reclaimer.
 // Compiled with MWLLSC_TRACE so the lifecycle events are observable.
 #include <cstdint>
 #include <cstdio>
@@ -30,16 +32,20 @@ using Managed = ManagedMwLLSC<Jp>;
 
 // ---------------------------------------------------------- slot registry
 
+// Cleanup for registry-only tests, whose slots carry no protocol state.
+constexpr auto kNoCleanup = [](std::uint32_t) {};
+
 void registry_state_machine() {
-  SlotRegistry reg(2, /*suspect_scans=*/2);
+  SlotRegistry reg(2);
   CHECK_EQ(reg.capacity(), 2u);
   CHECK_EQ(reg.active(), 0u);
 
-  const std::uint32_t a = reg.try_acquire();
-  const std::uint32_t b = reg.try_acquire();
+  const std::uint32_t a = reg.try_acquire(kNoCleanup);
+  const std::uint32_t b = reg.try_acquire(kNoCleanup);
   CHECK(a != SlotRegistry::kNone && b != SlotRegistry::kNone && a != b);
   CHECK_EQ(reg.active(), 2u);
-  CHECK_EQ(reg.try_acquire(), SlotRegistry::kNone);  // exhausted: bounded
+  // Exhausted: the pass is bounded and fails.
+  CHECK_EQ(reg.try_acquire(kNoCleanup), SlotRegistry::kNone);
 
   // Clean release: CAS on the claimed generation; a second release of the
   // same incarnation must fail (the generation moved on).
@@ -49,53 +55,51 @@ void registry_state_machine() {
   CHECK_EQ(reg.active(), 1u);
 
   // Re-claim bumps the generation past the released one.
-  const std::uint32_t a2 = reg.try_acquire();
+  const std::uint32_t a2 = reg.try_acquire(kNoCleanup);
   CHECK(a2 != SlotRegistry::kNone);
   CHECK(reg.generation(a2) > gen_a);
 
   // Cooperative crash: ORPHANED until a scan recycles it; on_dead runs for
-  // exactly that slot.
-  CHECK(reg.abandon(b, reg.generation(b)));
+  // exactly that slot, and ACTIVE slots are never touched.
+  const std::uint64_t gen_b = reg.generation(b);
+  CHECK(reg.abandon(b, gen_b));
   CHECK_EQ(reg.state(b), SlotRegistry::kOrphaned);
   std::vector<std::uint32_t> dead;
-  CHECK_EQ(reg.scan([&](std::uint32_t s) { dead.push_back(s); },
-                    /*include_stale=*/false),
-           1u);
+  CHECK_EQ(reg.scan([&](std::uint32_t s) { dead.push_back(s); }), 1u);
   CHECK_EQ(dead.size(), std::size_t{1});
   CHECK_EQ(dead[0], b);
   CHECK_EQ(reg.state(b), SlotRegistry::kFree);
-}
+  CHECK_EQ(reg.generation(b), gen_b + 3);  // abandon, RECLAIMING, FREE
+  CHECK_EQ(reg.state(a2), SlotRegistry::kActive);
 
-void registry_heartbeat_reclaim() {
-  SlotRegistry reg(1, /*suspect_scans=*/2);
-  const std::uint32_t s = reg.try_acquire();
-  CHECK(s != SlotRegistry::kNone);
-  const std::uint64_t gen = reg.generation(s);
+  // Adoption. The pass starts at this thread's own slot, which is why the
+  // first claim and the re-claim both got it. Orphaned, that slot is
+  // reclaimed in place (on_dead runs once) and handed over with the
+  // generation bumped twice past the orphan.
+  CHECK_EQ(a2, a);
+  CHECK(reg.abandon(a, reg.generation(a)));
+  const std::uint64_t gen_orphan = reg.generation(a);
+  CHECK_EQ(reg.try_acquire([&](std::uint32_t s) { dead.push_back(s); }), a);
+  CHECK_EQ(dead.size(), std::size_t{2});
+  CHECK_EQ(dead[1], a);
+  CHECK_EQ(reg.state(a), SlotRegistry::kActive);
+  CHECK_EQ(reg.generation(a), gen_orphan + 2);
+  CHECK_EQ(reg.try_acquire(kNoCleanup), b);
+  CHECK_EQ(reg.try_acquire(kNoCleanup), SlotRegistry::kNone);
 
-  std::uint32_t reclaimed = 0;
-  auto on_dead = [&](std::uint32_t) { ++reclaimed; };
-  // Scan 1 records the baseline; a beat resets the suspicion.
-  CHECK_EQ(reg.scan(on_dead), 0u);
-  reg.beat(s);
-  CHECK_EQ(reg.scan(on_dead), 0u);  // hb moved: baseline re-recorded
-  CHECK_EQ(reg.scan(on_dead), 0u);  // stale 1 < suspect_scans
-  CHECK_EQ(reg.scan(on_dead), 1u);  // stale 2: condemned
-  CHECK_EQ(reclaimed, 1u);
-  // The holder comes back: its release must fail — it was presumed dead.
-  CHECK(!reg.release(s, gen));
-  // Orphan-only scans never condemn by staleness.
-  const std::uint32_t s2 = reg.try_acquire();
-  CHECK(s2 != SlotRegistry::kNone);
-  for (int i = 0; i < 10; ++i) {
-    CHECK_EQ(reg.scan(on_dead, /*include_stale=*/false), 0u);
-  }
-  CHECK_EQ(reg.state(s2), SlotRegistry::kActive);
+  // Counters: every claim and adoption is a join, each clean release a
+  // retire (the failed second release above counted nothing), each
+  // reclaim a crash reclaim.
+  const auto c = reg.counts();
+  CHECK_EQ(c.joins, 5u);
+  CHECK_EQ(c.retires, 1u);
+  CHECK_EQ(c.crash_reclaims, 2u);
 }
 
 void raii_guard() {
   SlotRegistry reg(1);
   {
-    const std::uint32_t s = reg.try_acquire();
+    const std::uint32_t s = reg.try_acquire(kNoCleanup);
     ProcessSlot guard(&reg, s);
     CHECK(guard.valid());
     CHECK_EQ(guard.id(), s);
@@ -104,7 +108,7 @@ void raii_guard() {
     CHECK(moved.valid());
   }  // moved's dtor released
   CHECK_EQ(reg.active(), 0u);
-  const std::uint32_t again = reg.try_acquire();
+  const std::uint32_t again = reg.try_acquire(kNoCleanup);
   CHECK(again != SlotRegistry::kNone);
   ProcessSlot guard(&reg, again);
   guard.abandon();
@@ -210,16 +214,21 @@ void orphan_reclaim_on_join() {
   auto b = m.join();
   std::vector<std::uint64_t> v(2);
   a.ll(v.data());  // crash mid-link: announce settled, link open
+  const std::uint32_t dead_pid = a.pid();
   a.abandon();
 
-  // Exhausted, but a join-retry orphan sweep recycles a's slot — no
-  // degradation needed, and the reclaim settled the dead pid's announce.
+  // Every slot is held or orphaned: the first claim pass adopts a's slot
+  // (no retry pass, no sweep, no degradation), and the adoption settled
+  // the dead pid's announce before handing it over.
   auto c = m.join();
   CHECK(!c.degraded());
+  CHECK_EQ(c.pid(), dead_pid);
   const auto s = m.membership();
   CHECK_EQ(s.crash_reclaims, 1u);
-  CHECK(s.join_retries >= 1u);
+  CHECK_EQ(s.join_retries, 0u);
+  CHECK_EQ(s.scans, 0u);
   CHECK_EQ(s.degraded_joins, 0u);
+  CHECK_EQ(s.joins, 3u);
 
   // The recycled pid is quiescent: no link, ops run clean.
   CHECK(!c.sc(v.data()));
@@ -229,6 +238,57 @@ void orphan_reclaim_on_join() {
   CHECK(b.valid());
   b.ll(v.data());
   CHECK_EQ(v[0], 1u);
+}
+
+// A thread's claim pass starts at an index fixed for its lifetime, so a
+// thread that retires (or crashes) and rejoins gets its pid back while that
+// pid is free. Threads draw their index from a process-wide counter at
+// their first join, so threads that join one after another start apart.
+void pid_affinity() {
+  Managed m(4, 2);
+  std::vector<std::uint64_t> v(2);
+  std::uint32_t mine = 0;
+  {
+    auto a = m.join();
+    mine = a.pid();
+  }
+  for (int i = 0; i < 5; ++i) {
+    auto a = m.join();
+    CHECK_EQ(a.pid(), mine);
+    a.ll(v.data());
+    v[0] += 1;
+    CHECK(a.sc(v.data()));
+    if (i % 2) a.abandon();  // adopted by this thread's next pass
+  }
+  {
+    // While the pid is held the pass moves on; once free it comes back.
+    auto held = m.join();
+    CHECK_EQ(held.pid(), mine);
+    auto other = m.join();
+    CHECK(!other.degraded());
+    CHECK(other.pid() != mine);
+    CHECK(held.retire());
+    auto again = m.join();
+    CHECK_EQ(again.pid(), mine);
+  }
+
+  std::uint32_t theirs[2] = {};
+  for (std::uint32_t& pid : theirs) {
+    std::thread([&] {
+      for (int i = 0; i < 5; ++i) {
+        auto a = m.join();
+        if (i == 0) pid = a.pid();
+        CHECK_EQ(a.pid(), pid);
+      }
+    }).join();
+  }
+  CHECK(theirs[0] != theirs[1]);
+
+  const auto s = m.membership();
+  CHECK_EQ(s.crash_reclaims, 2u);
+  CHECK_EQ(s.join_retries, 0u);
+  CHECK_EQ(s.joins, s.retires + 2);
+  CHECK_EQ(s.active, 0u);
 }
 
 // ------------------------------------------------------- lifecycle traces
@@ -247,7 +307,7 @@ void traced_lifecycle() {
   v[0] += 1;
   CHECK(a.sc(v.data()));
   a.abandon();                       // crash...
-  auto d = m.join();                 // exhaustion: join-retry orphan sweep
+  auto d = m.join();                 // the claim pass adopts the orphan
   CHECK(!d.degraded());              // ...recycled the corpse's slot
   CHECK(d.retire());
   CHECK(b.retire());
@@ -357,7 +417,11 @@ void checker_lifecycle_rules() {
 
 // -------------------------------------------------------------- MT churn
 
-void mt_churn() {
+// With `reaper`, a maintenance thread sweeps orphans while the workers
+// churn; without it, orphans are recycled only by joiners adopting them,
+// and one reclaim_scan() after the workers finish settles the rest. Either
+// way the counter identities hold exactly.
+void mt_churn(bool reaper) {
   constexpr std::uint32_t kSlots = 3;
   constexpr unsigned kThreads = 6;
   constexpr unsigned kSessions = 60;
@@ -367,15 +431,17 @@ void mt_churn() {
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> abandons{0};
 
-  // Maintenance reclaimer: reclaim_scan() only takes abandoned slots, so
-  // threads descheduled for arbitrarily long are never condemned.
-  std::thread reaper([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      m.reclaim_scan();
-      std::this_thread::yield();
-    }
-    m.reclaim_scan();
-  });
+  // reclaim_scan() only takes abandoned slots, so threads descheduled for
+  // arbitrarily long are never condemned.
+  std::thread sweeper;
+  if (reaper) {
+    sweeper = std::thread([&] {
+      while (!stop.load(std::memory_order_acquire)) {
+        m.reclaim_scan();
+        std::this_thread::yield();
+      }
+    });
+  }
 
   std::vector<std::thread> pool;
   for (unsigned t = 0; t < kThreads; ++t) {
@@ -404,7 +470,8 @@ void mt_churn() {
   }
   for (auto& th : pool) th.join();
   stop.store(true, std::memory_order_release);
-  reaper.join();
+  if (sweeper.joinable()) sweeper.join();
+  m.reclaim_scan();
 
   // Every increment that reported success is in the final value: the
   // lifecycle layer lost no SC and double-applied none.
@@ -417,6 +484,7 @@ void mt_churn() {
   final_session.retire();
 
   const auto s = m.membership();
+  if (!reaper) CHECK_EQ(s.scans, 1u);
   CHECK_EQ(s.joins + s.degraded_joins,
            std::uint64_t{kThreads} * kSessions + 1);
   CHECK_EQ(s.crash_reclaims, abandons.load());
@@ -447,14 +515,15 @@ void mt_churn() {
 
 int main() {
   registry_state_machine();
-  registry_heartbeat_reclaim();
   raii_guard();
   managed_basic();
   degraded_path();
   orphan_reclaim_on_join();
+  pid_affinity();
   traced_lifecycle();
   checker_lifecycle_rules();
-  mt_churn();
+  mt_churn(/*reaper=*/true);
+  mt_churn(/*reaper=*/false);
   std::printf("test_membership: OK\n");
   return 0;
 }
