@@ -9,10 +9,9 @@
 //     paper bothers exposing VL at all.
 //
 // Run: ./bench_ablation [--trace PATH] [--metrics PATH]
-//      (the timing loops run unsampled; a trace of a full run wraps the
-//      per-process rings, so the export keeps only each ring's newest
-//      events — fine for eyeballing in Perfetto, and the offline checker
-//      tolerates the truncation)
+//      (a trace of a full run wraps the per-process rings, so the export
+//      keeps only each ring's newest events — fine for eyeballing in
+//      Perfetto, and the offline checker tolerates the truncation)
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -121,19 +120,7 @@ BENCHMARK(BM_ProbeWithLl)->Arg(4)->Arg(64)->Arg(1024);
 int main(int argc, char** argv) {
   bench::ObsSession obs(argc, argv, 8);
   g_obs = &obs;
-  // Strip the obs flags before google-benchmark parses argv (it rejects
-  // unknown arguments).
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    const bool obs_flag = std::string(argv[i]) == "--trace" ||
-                          std::string(argv[i]) == "--metrics" ||
-                          std::string(argv[i]) == "--trace-sample-shift";
-    if (obs_flag) {
-      ++i;  // skip the flag's value too
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
+  std::vector<char*> args = bench::strip_obs_flags(argc, argv);
   int filtered_argc = static_cast<int>(args.size());
   benchmark::Initialize(&filtered_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data()))

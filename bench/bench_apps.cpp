@@ -21,7 +21,7 @@
 // Run: ./bench_apps                  human tables
 //      ./bench_apps --json PATH      perf-trajectory snapshot (plus tables)
 //        [--smoke]                   reduced duration/threads for CI
-//        [--trace PATH]              Chrome-trace export (MWLLSC_TRACE build)
+//        [--trace PATH]              Chrome-trace export
 //        [--metrics PATH]            Prometheus text (.json for JSON) export
 #include <atomic>
 #include <cstdio>

@@ -272,29 +272,31 @@ class JsonEmitter {
 //
 // Every bench constructs one ObsSession from argv; benches bind the
 // objects they create to it, absorb their counters/latencies into the
-// registry, and call finish() after the threads join. Tracing needs the
-// MWLLSC_TRACE build; the metrics registry always works.
+// registry, and call finish() after the threads join. --trace binds a
+// sink, which is all tracing needs; the metrics registry always works.
+
+/// argv without the ObsSession flags and their values, for parsers that
+/// reject unknown arguments (google-benchmark).
+inline std::vector<char*> strip_obs_flags(int argc, char** argv) {
+  std::vector<char*> args;
+  for (int i = 0; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--trace") == 0 ||
+        std::strcmp(argv[i], "--metrics") == 0) {
+      ++i;  // skip the flag's value too
+      continue;
+    }
+    args.push_back(argv[i]);
+  }
+  return args;
+}
 
 class ObsSession {
  public:
-  ObsSession(int argc, char** argv, std::uint32_t nprocs,
-             obs::TraceConfig cfg = {})
+  ObsSession(int argc, char** argv, std::uint32_t nprocs)
       : trace_path_(arg_value(argc, argv, "--trace")),
         metrics_path_(arg_value(argc, argv, "--metrics")) {
-    const std::string shift = arg_value(argc, argv, "--trace-sample-shift");
-    if (!shift.empty()) {
-      cfg.sample_shift = static_cast<std::uint32_t>(std::atoi(shift.c_str()));
-    }
     if (!trace_path_.empty()) {
-#if defined(MWLLSC_TRACE)
-      sink_ = std::make_unique<obs::TraceSink>(nprocs, cfg);
-#else
-      std::fprintf(stderr,
-                   "[obs] --trace requested but this binary was built "
-                   "without MWLLSC_TRACE; rebuild with -DMWLLSC_TRACE=ON. "
-                   "Writing an empty trace.\n");
-      sink_ = std::make_unique<obs::TraceSink>(nprocs, cfg);
-#endif
+      sink_ = std::make_unique<obs::TraceSink>(nprocs);
     }
   }
 

@@ -183,19 +183,8 @@ int main(int argc, char** argv) {
                                   obs);
     return obs.finish() && rc == 0 ? 0 : 1;
   }
-  // Strip the obs flags before google-benchmark sees argv (it rejects
-  // unknown arguments); the gbench path itself runs untraced.
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    const bool obs_flag = std::string(argv[i]) == "--trace" ||
-                          std::string(argv[i]) == "--metrics" ||
-                          std::string(argv[i]) == "--trace-sample-shift";
-    if (obs_flag) {
-      ++i;  // skip the flag's value too
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
+  // The gbench path itself runs untraced.
+  std::vector<char*> args = bench::strip_obs_flags(argc, argv);
   int filtered_argc = static_cast<int>(args.size());
   benchmark::Initialize(&filtered_argc, args.data());
   if (benchmark::ReportUnrecognizedArguments(filtered_argc, args.data()))

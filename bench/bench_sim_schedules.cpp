@@ -27,7 +27,7 @@
 //   --smoke: reduced grid and run lengths for CI smoke testing.
 //   --metrics: export worst/bound cells as gauges.
 //   --trace: the protocol events of the random-schedule characterization
-//   run (a build with MWLLSC_TRACE), checkable by trace_check.
+//   run, checkable by trace_check.
 //
 // Repro modes (every invariant-violation message embeds the knobs these
 // take — "sched-seed=S" / "churn-seed=S" and "schedule=..."):

@@ -35,7 +35,7 @@ class IMwLLSC {
   virtual util::Footprint footprint() const = 0;
 
   /// Binds this variable to a trace sink under id `var` (obs/trace.hpp).
-  /// No-op in MWLLSC_TRACE-off builds and for untraced implementations.
+  /// No-op for untraced implementations.
   virtual void set_trace(obs::TraceSink* sink, std::uint32_t var) {
     (void)sink;
     (void)var;

@@ -154,11 +154,26 @@ class MwLLSC {
     }
   }
 
+  // The trace decision is made once per op: the untraced bodies carry no
+  // trace code at all (obs/trace.hpp). Both stay out of line, so ll and sc
+  // are one test and a tail call, and callers inline no protocol code.
   void ll(std::uint32_t p, std::uint64_t* out) {
+    if (__builtin_expect(trace_.bound(), 0)) return ll_op<true>(p, out);
+    ll_op<false>(p, out);
+  }
+
+  bool sc(std::uint32_t p, const std::uint64_t* v) {
+    if (__builtin_expect(trace_.bound(), 0)) return sc_op<true>(p, v);
+    return sc_op<false>(p, v);
+  }
+
+ private:
+  template <bool kTraced>
+  [[gnu::noinline]] void ll_op(std::uint32_t p, std::uint64_t* out) {
     assert(p < n_);
     Priv& me = priv_[p];
     auto& c = stats_.at(p);
-    trace_.emit(obs::EventKind::kLlStart, p, me.seq);
+    trace_.emit<kTraced>(obs::EventKind::kLlStart, p, me.seq);
     // Fast attempt, unannounced. Aged validation never relied on the
     // announce, so a pass is final: no announce store, no withdraw CAS.
     std::uint32_t b;
@@ -177,7 +192,7 @@ class MwLLSC {
       // the announce must have linked before it — bounding drift at P tags)
       announce_[p].a.store(pack_a(kWaiting, me.xbuf, me.seq),
                            std::memory_order_seq_cst);
-      trace_.emit(obs::EventKind::kLlSlow, p, me.seq);
+      trace_.emit<kTraced>(obs::EventKind::kLlSlow, p, me.seq);
       while ((drift = link_and_copy(p, out, &b, &t0)) > p2_) {
         // Drift >= P+1: the P winners that linked after our announce swept
         // every announce slot pre-SC, so a donation is already posted.
@@ -196,13 +211,13 @@ class MwLLSC {
           c.bump(c.ll_helped);
           c.bump(c.ll_used_helped_value);
           c.bump(c.ll_ops);
-          trace_.emit(obs::EventKind::kLlRescue, p, me.seq, d);
+          trace_.emit<kTraced>(obs::EventKind::kLlRescue, p, me.seq, d);
           return;
         }
         // Unreachable if the help guarantee holds (tests assert this
         // counter stays zero); kept as a defensive retry.
         c.bump(c.ll_retries);
-        trace_.emit(obs::EventKind::kLlRetry, p, me.seq);
+        trace_.emit<kTraced>(obs::EventKind::kLlRetry, p, me.seq);
       }
       // Aged validation passed: withdraw the announce. The withdraw races
       // a winner's donation CAS on this slot; the total order picks
@@ -218,8 +233,8 @@ class MwLLSC {
           // one we offered.
           me.xbuf = buf_of_a(expect);
           c.bump(c.ll_helped);
-          trace_.emit(obs::EventKind::kLlHelped, p, me.seq,
-                      buf_of_a(expect));
+          trace_.emit<kTraced>(obs::EventKind::kLlHelped, p, me.seq,
+                               buf_of_a(expect));
         } else {
           // The word no longer carries our seq: a crash-stop reclaim
           // (reclaim_pid) judged this process dead and withdrew the
@@ -239,18 +254,19 @@ class MwLLSC {
     // Any drift already broke the link; so does a raced reclaim.
     me.link_valid = drift == 0 && !reclaimed;
     c.bump(c.ll_ops);
-    trace_.emit(obs::EventKind::kLlFast, p, t0, b);
+    trace_.emit<kTraced>(obs::EventKind::kLlFast, p, t0, b);
   }
 
-  bool sc(std::uint32_t p, const std::uint64_t* v) {
+  template <bool kTraced>
+  [[gnu::noinline]] bool sc_op(std::uint32_t p, const std::uint64_t* v) {
     assert(p < n_);
     Priv& me = priv_[p];
     auto& c = stats_.at(p);
     c.bump(c.sc_ops);
-    trace_.emit(obs::EventKind::kScAttempt, p, me.seq,
-                me.link_valid ? 1 : 0);
+    trace_.emit<kTraced>(obs::EventKind::kScAttempt, p, me.seq,
+                         me.link_valid ? 1 : 0);
     if (!me.link_valid) {               // helped/drifted LL or no LL: O(1)
-      trace_.emit(obs::EventKind::kScFail, p, me.seq);
+      trace_.emit<kTraced>(obs::EventKind::kScFail, p, me.seq);
       return false;
     }
     me.link_valid = false;             // the link is consumed either way
@@ -287,28 +303,29 @@ class MwLLSC {
                   std::memory_order_seq_cst)) {
             me.xbuf = buf_of_a(seen);  // ownership exchange, O(1)
             c.bump(c.helps_given);
-            trace_.emit(obs::EventKind::kHelpInstall, p, seq_of_a(seen),
-                        target);
+            trace_.emit<kTraced>(obs::EventKind::kHelpInstall, p,
+                                 seq_of_a(seen), target);
           }
         }
       }
     }
     if (!x_.sc(p, me.spare)) {
-      trace_.emit(obs::EventKind::kScFail, p, me.seq);
+      trace_.emit<kTraced>(obs::EventKind::kScFail, p, me.seq);
       return false;
     }
     c.bump(c.sc_success);
     const std::uint64_t mytag = (t + 1) & llsc::kTagMask;
-    trace_.emit(obs::EventKind::kScCommit, p, mytag);
+    trace_.emit<kTraced>(obs::EventKind::kScCommit, p, mytag);
     // The previously-current buffer is ours until the ring swap resolves:
     // provisionally the spare, with the bank write marked pending so a
     // reclaimer can finish it if we die before the swap.
     me.spare = me.ll_buf;
     me.retire_tag = mytag;
-    retire(p, me);
+    retire<kTraced>(p, me);
     return true;
   }
 
+ public:
   bool vl(std::uint32_t p) {
     assert(p < n_);
     auto& c = stats_.at(p);
@@ -410,7 +427,7 @@ class MwLLSC {
 
   /// Binds this variable to a trace sink (obs/trace.hpp); self-describes
   /// with the "jp" substrate prefix the offline checker keys its 4W+12 /
-  /// zero-retry rules on. No-op when MWLLSC_TRACE is off.
+  /// zero-retry rules on. A null sink unbinds.
   void set_trace(obs::TraceSink* sink, std::uint32_t var) {
     trace_.bind(sink, var);
     if (sink) sink->describe_var(var, w_, "jp");
@@ -504,6 +521,7 @@ class MwLLSC {
   /// me.retire_tag (I2: exactly one resolution per successful SC), taking
   /// the cell's aged buffer as the new spare. Run by the SC's winner, or
   /// by reclaim_pid for a winner that died before its swap.
+  template <bool kTraced = true>
   void retire(std::uint32_t p, Priv& me) {
     const std::uint32_t retired = me.ll_buf;
     const std::uint64_t mytag = me.retire_tag;
@@ -535,8 +553,8 @@ class MwLLSC {
     me.retire_tag = kNoRetire;
     auto& c = stats_.at(p);
     c.bump(c.bank_writes);
-    trace_.emit(obs::EventKind::kBufferRetire, p, mytag, retired);
-    trace_.emit(obs::EventKind::kBankWrite, p, mytag, retired);
+    trace_.emit<kTraced>(obs::EventKind::kBufferRetire, p, mytag, retired);
+    trace_.emit<kTraced>(obs::EventKind::kBankWrite, p, mytag, retired);
   }
 
   const std::uint32_t n_;

@@ -11,7 +11,9 @@
 // * load_chrome_trace — reads that exporter's output back into a
 //   TraceData (X events are expanded to their start/slow/retry/end markers
 //   in place), making an exported file a third correctness oracle: the same
-//   checker runs on live rings and on a file from another machine.
+//   checker runs on live rings and on a file from another machine. A file
+//   without the exporter's schema_version header, or with a tid that is
+//   not a valid pid, fails to load.
 //
 // * check_trace — replays per-pid event streams and re-verifies, from
 //   events alone: the 4W+12 LL step bound and zero defensive retries for
@@ -24,8 +26,7 @@
 //   protocol events until its next join — traces from before the
 //   lifecycle layer carry no such events and are checked exactly as
 //   before. Ring truncation is tolerated as a missing *prefix* (orphan
-//   closes/bank-writes are skipped while dropped > 0); sampled traces
-//   skip sequencing checks entirely.
+//   closes/bank-writes are skipped while dropped > 0).
 //
 // * write_prometheus / write_metrics_json — text + JSON export of a
 //   MetricsRegistry.
@@ -41,12 +42,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/llsc.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace mwllsc::obs {
 
-inline constexpr std::uint32_t kTraceSchemaVersion = 3;
+inline constexpr std::uint32_t kTraceSchemaVersion = 4;
 
 // ------------------------------------------------------------------ checker
 
@@ -59,7 +61,6 @@ struct TraceCheckResult {
   std::uint64_t joins = 0;          ///< proc_join events (membership layer)
   std::uint64_t retires = 0;
   std::uint64_t crash_reclaims = 0;
-  bool sampled = false;             ///< sequencing checks skipped
   bool truncated = false;           ///< some ring evicted its prefix
   std::vector<std::string> violations;
 
@@ -80,12 +81,6 @@ inline std::uint64_t ll_steps_of(std::uint32_t w, std::uint32_t rounds,
 
 inline TraceCheckResult check_trace(const TraceData& d) {
   TraceCheckResult r;
-  if (d.sample_shift > 0) {
-    // Sampling drops arbitrary events; sequencing proofs are meaningless.
-    r.sampled = true;
-    return r;
-  }
-
   // Pre-scan: which vars ever emit bank writes? Substrates without a
   // retirement write (lock) are exempt from the I2 pairing check.
   std::map<std::uint32_t, bool> var_has_bank;
@@ -458,7 +453,6 @@ inline bool write_chrome_trace(const std::string& path, const TraceData& d,
 
   std::fprintf(f, "\n],\n\"displayTimeUnit\": \"ms\",\n\"mwllsc\": {\n");
   std::fprintf(f, "  \"schema_version\": %u,\n", kTraceSchemaVersion);
-  std::fprintf(f, "  \"sample_shift\": %u,\n", d.sample_shift);
   std::fprintf(f, "  \"dropped\": [");
   for (std::size_t p = 0; p < d.dropped.size(); ++p) {
     std::fprintf(f, "%s%" PRIu64, p ? ", " : "", d.dropped[p]);
@@ -527,6 +521,7 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
 
   char buf[2048];
   bool in_vars = false;
+  bool has_header = false;
   while (std::fgets(buf, sizeof(buf), f)) {
     std::string line(buf);
 
@@ -545,8 +540,8 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
       continue;
     }
     std::uint64_t u = 0;
-    if (detail::find_u64(line, "\"sample_shift\": ", &u)) {
-      out->sample_shift = static_cast<std::uint32_t>(u);
+    if (detail::find_u64(line, "\"schema_version\": ", &u)) {
+      has_header = true;
       continue;
     }
     if (line.find("\"dropped\": [") != std::string::npos) {
@@ -570,6 +565,11 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
     detail::find_u64(line, "\"var\":", &var);
     detail::find_u64(line, "\"tag\":", &tag);
     detail::find_u64(line, "\"arg\":", &arg);
+    if (tid >= llsc::kMaxProcs) {  // not a pid; TraceEvent::pid is 16 bits
+      std::fclose(f);
+      if (err) *err = "tid " + std::to_string(tid) + " out of range";
+      return false;
+    }
     const auto ts_pos = line.find("\"ts\":");
     const double ts_us =
         ts_pos == std::string::npos
@@ -617,6 +617,10 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
     }
   }
   std::fclose(f);
+  if (!has_header) {
+    if (err) *err = "no schema_version header: not a write_chrome_trace file";
+    return false;
+  }
   if (out->dropped.size() < out->per_pid.size()) {
     out->dropped.resize(out->per_pid.size(), 0);
   }

@@ -6,11 +6,11 @@
 // win — a trace is always a contiguous *suffix* of each process's history,
 // and the per-ring dropped count tells consumers how much prefix is gone.
 //
-// The whole layer is compiled out unless MWLLSC_TRACE is defined: the
-// TraceHandle the instrumented classes embed becomes an empty struct and
-// every emit() call folds to nothing (tests static_assert the emptiness).
-// When compiled in, TraceConfig adds a run-time sampling knob (record every
-// 2^sample_shift-th event per ring) for runs too hot to trace exhaustively.
+// Tracing is a run-time property of every build: an object traces only
+// after set_trace(sink, var) binds a sink to its TraceHandle. An unbound
+// emit() is one load plus a not-taken branch; the bound path
+// (TraceSink::record) is out of line and cold, so the ~40 emit sites in
+// the protocol classes stay small.
 //
 // Timestamps are raw TSC ticks on x86-64 (one rdtsc, no serialization —
 // cheap and monotone enough for per-pid ordering; the rings themselves are
@@ -20,7 +20,6 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -98,11 +97,6 @@ inline std::uint64_t trace_now() {
 #endif
 }
 
-struct TraceConfig {
-  std::uint32_t capacity = 1u << 14;  ///< events per process (rounded pow2)
-  std::uint32_t sample_shift = 0;     ///< record every 2^shift-th event
-};
-
 /// Per-process event ring. Single-writer: only the owning process records;
 /// readers call snapshot() strictly after the recording threads quiesce
 /// (joined or barriered), which the join's happens-before makes race-free.
@@ -110,17 +104,15 @@ struct TraceConfig {
 /// printer reading counts) is merely stale, never UB.
 class alignas(64) TraceRing {
  public:
-  void init(std::uint32_t capacity, std::uint32_t sample_shift) {
+  void init(std::uint32_t capacity) {
     cap_ = 1;
     while (cap_ < capacity) cap_ <<= 1;
     mask_ = cap_ - 1;
-    sample_mask_ = (std::uint64_t{1} << sample_shift) - 1;
     slots_.reset(new TraceEvent[cap_]);
   }
 
   void record(EventKind k, std::uint16_t pid, std::uint32_t var,
               std::uint64_t tag, std::uint32_t arg) {
-    if ((offered_++ & sample_mask_) != 0) return;  // sampling knob
     const std::uint64_t h = head_.load(std::memory_order_relaxed);
     TraceEvent& e = slots_[h & mask_];
     e.tsc = trace_now();
@@ -155,10 +147,8 @@ class alignas(64) TraceRing {
  private:
   std::unique_ptr<TraceEvent[]> slots_;
   std::atomic<std::uint64_t> head_{0};
-  std::uint64_t offered_ = 0;  // single-writer sampling counter
   std::uint64_t cap_ = 0;
   std::uint64_t mask_ = 0;
-  std::uint64_t sample_mask_ = 0;
 };
 
 /// Everything a trace consumer (exporter, checker, metrics) needs, pulled
@@ -173,7 +163,6 @@ struct TraceData {
   std::vector<VarInfo> vars;
   std::vector<std::vector<TraceEvent>> per_pid;  ///< per-pid, ring order
   std::vector<std::uint64_t> dropped;            ///< per-pid evicted counts
-  std::uint32_t sample_shift = 0;
   std::uint64_t tsc0 = 0;       ///< sink-construction timestamp (ticks)
   double ns_per_tick = 1.0;
 
@@ -201,20 +190,21 @@ struct TraceData {
 /// per-pid history the checker replays.
 class TraceSink {
  public:
-  explicit TraceSink(std::uint32_t nprocs, TraceConfig cfg = {})
-      : n_(nprocs), cfg_(cfg), rings_(new TraceRing[nprocs]) {
-    for (std::uint32_t p = 0; p < nprocs; ++p) {
-      rings_[p].init(cfg.capacity, cfg.sample_shift);
-    }
+  /// `capacity` is events per process, rounded up to a power of two.
+  explicit TraceSink(std::uint32_t nprocs, std::uint32_t capacity = 1u << 14)
+      : n_(nprocs), rings_(new TraceRing[nprocs]) {
+    for (std::uint32_t p = 0; p < nprocs; ++p) rings_[p].init(capacity);
     tsc0_ = trace_now();
     ns0_ = wall_ns();
   }
 
-  /// Hot path: called from the instrumented protocol under the owning
-  /// process's id. Out-of-range pids (a bench binding more vars than the
-  /// sink has rings never produces one, but be safe) are dropped.
-  void record(EventKind k, std::uint32_t pid, std::uint32_t var,
-              std::uint64_t tag, std::uint32_t arg) {
+  /// The bound path of TraceHandle::emit, under the owning process's id.
+  /// Out-of-range pids (a bench binding more vars than the sink has rings
+  /// never produces one, but be safe) are dropped.
+  [[gnu::noinline, gnu::cold]] void record(EventKind k, std::uint32_t pid,
+                                           std::uint32_t var,
+                                           std::uint64_t tag,
+                                           std::uint32_t arg) {
     if (pid >= n_) return;
     rings_[pid].record(k, static_cast<std::uint16_t>(pid), var, tag, arg);
   }
@@ -237,9 +227,6 @@ class TraceSink {
     vars_.push_back({id, words, std::move(label)});
   }
 
-  std::uint32_t procs() const { return n_; }
-  const TraceConfig& config() const { return cfg_; }
-
   /// Quiescent collection: call only after the traced threads joined (the
   /// join provides the happens-before for the plain event slots).
   TraceData collect() const {
@@ -254,7 +241,6 @@ class TraceSink {
       d.per_pid[p] = rings_[p].snapshot();
       d.dropped[p] = rings_[p].dropped();
     }
-    d.sample_shift = cfg_.sample_shift;
     d.tsc0 = tsc0_;
     const std::uint64_t tsc1 = trace_now();
     const std::uint64_t ns1 = wall_ns();
@@ -273,7 +259,6 @@ class TraceSink {
   }
 
   const std::uint32_t n_;
-  const TraceConfig cfg_;
   std::unique_ptr<TraceRing[]> rings_;
   mutable std::mutex mu_;
   std::vector<TraceData::VarInfo> vars_;
@@ -281,10 +266,10 @@ class TraceSink {
   std::uint64_t ns0_ = 0;
 };
 
-#if defined(MWLLSC_TRACE)
-
-/// The handle an instrumented class embeds. Compiled in: a (sink, var id)
-/// pair; emit is one predictable null check plus the ring write.
+/// The handle an instrumented class embeds: a (sink, var id) pair, unbound
+/// until set_trace. emit is one load and a branch predicted not taken; an
+/// op that already tested bound() passes the answer as kMayTrace, and
+/// emit<false> is empty.
 class TraceHandle {
  public:
   void bind(TraceSink* sink, std::uint32_t var) {
@@ -293,30 +278,17 @@ class TraceHandle {
   }
   bool bound() const { return sink_ != nullptr; }
 
+  template <bool kMayTrace = true>
   void emit(EventKind k, std::uint32_t pid, std::uint64_t tag = 0,
             std::uint32_t arg = 0) const {
-    if (sink_) sink_->record(k, pid, var_, tag, arg);
+    if (kMayTrace && __builtin_expect(sink_ != nullptr, 0)) {
+      sink_->record(k, pid, var_, tag, arg);
+    }
   }
 
  private:
   TraceSink* sink_ = nullptr;
   std::uint32_t var_ = 0;
 };
-
-#else  // !MWLLSC_TRACE
-
-/// Compiled out: an empty struct whose emit folds to nothing. The tests
-/// static_assert the emptiness — the hot path carries zero trace overhead.
-class TraceHandle {
- public:
-  void bind(TraceSink*, std::uint32_t) {}
-  bool bound() const { return false; }
-  void emit(EventKind, std::uint32_t, std::uint64_t = 0,
-            std::uint32_t = 0) const {}
-};
-static_assert(std::is_empty_v<TraceHandle>,
-              "trace-off builds must carry no per-object trace state");
-
-#endif  // MWLLSC_TRACE
 
 }  // namespace mwllsc::obs

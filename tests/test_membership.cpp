@@ -5,7 +5,6 @@
 // events through the offline checker, and multithreaded churn runs
 // (threads > slots) with cooperative crashes, with and without a
 // maintenance reclaimer.
-// Compiled with MWLLSC_TRACE so the lifecycle events are observable.
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -294,10 +293,8 @@ void pid_affinity() {
 // ------------------------------------------------------- lifecycle traces
 
 void traced_lifecycle() {
-  obs::TraceConfig tcfg;
-  tcfg.capacity = 1u << 14;
   Managed m(2, 2);
-  obs::TraceSink sink(m.slots() + 1, tcfg);  // + the reserved degraded pid
+  obs::TraceSink sink(m.slots() + 1);  // + the reserved degraded pid
   m.set_trace(&sink, 0);
 
   std::vector<std::uint64_t> v(2);

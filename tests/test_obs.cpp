@@ -1,16 +1,21 @@
-// obs/ layer tests, compiled WITH MWLLSC_TRACE (see tests/CMakeLists.txt;
-// test_obs_off covers the compiled-out configuration):
+// obs/ layer tests:
 //   * ring semantics — wraparound keeps the newest events, dropped counts
-//     the evicted prefix, sampling records every 2^shift-th event;
+//     the evicted prefix;
 //   * live tracing of the real protocol under threads, replayed through
 //     check_trace: the 4W+12 bound and I2 re-verified from events alone;
 //   * exporter round-trip — write_chrome_trace -> load_chrome_trace must
 //     hand the checker the same windows the live rings did;
-//   * truncated and sampled traces pass (prefix loss is not a violation);
+//   * truncated traces pass (prefix loss is not a violation), and an
+//     empty one checks clean;
 //   * the checker actually rejects bad traces (synthetic violations);
+//   * the loader rejects files the exporter did not write and tids that
+//     are not pids, and trace_check fails a file with no events;
 //   * apps-layer events and the <= 3-round apply bound;
 //   * MetricsRegistry absorption + Prometheus/JSON export.
+#include <sys/wait.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -24,10 +29,6 @@
 #include "test_check.hpp"
 
 using namespace mwllsc;
-
-#if !defined(MWLLSC_TRACE)
-#error "test_obs must be compiled with MWLLSC_TRACE (see tests/CMakeLists)"
-#endif
 
 namespace {
 
@@ -57,7 +58,7 @@ obs::TraceEvent ev(obs::EventKind k, std::uint16_t pid, std::uint32_t var,
 
 void ring_wraparound() {
   obs::TraceRing ring;
-  ring.init(8, 0);
+  ring.init(8);
   for (std::uint32_t i = 0; i < 20; ++i) {
     ring.record(obs::EventKind::kLlStart, 0, 0, i, 0);
   }
@@ -71,19 +72,6 @@ void ring_wraparound() {
   }
 }
 
-void ring_sampling() {
-  obs::TraceRing ring;
-  ring.init(64, 2);  // record every 4th event
-  for (std::uint32_t i = 0; i < 40; ++i) {
-    ring.record(obs::EventKind::kScAttempt, 1, 0, i, 0);
-  }
-  const auto snap = ring.snapshot();
-  CHECK_EQ(snap.size(), 10u);
-  for (std::size_t i = 0; i < snap.size(); ++i) {
-    CHECK_EQ(snap[i].tag, 4 * i);
-  }
-}
-
 void handle_binding() {
   obs::TraceSink sink(2);
   obs::TraceHandle h;
@@ -93,6 +81,10 @@ void handle_binding() {
   CHECK(h.bound());
   h.emit(obs::EventKind::kLlStart, 1, 42, 3);
   h.emit(obs::EventKind::kLlFast, 99, 0, 0);  // out-of-range pid: dropped
+  h.emit<false>(obs::EventKind::kLlFast, 1);   // resolved untraced: no-op
+  h.bind(nullptr, 7);
+  CHECK(!h.bound());
+  h.emit(obs::EventKind::kLlFast, 1);          // unbound again: dropped
   const auto d = sink.collect();
   CHECK_EQ(d.total_events(), 1u);
   CHECK_EQ(d.per_pid[1].size(), 1u);
@@ -108,9 +100,7 @@ obs::TraceData traced_protocol_mt() {
   constexpr std::uint32_t kW = 5;
   constexpr std::uint64_t kOps = 4000;
 
-  obs::TraceConfig cfg;
-  cfg.capacity = 1u << 16;  // no wraparound: every event survives
-  obs::TraceSink sink(kThreads, cfg);
+  obs::TraceSink sink(kThreads, 1u << 16);  // no wraparound: all survive
   core::MwLLSC<llsc::Engine> obj(kThreads, kW);
   obj.set_trace(&sink, 0);
 
@@ -141,7 +131,6 @@ obs::TraceData traced_protocol_mt() {
       std::fprintf(stderr, "  %s\n", v.c_str());
   }
   CHECK(r.ok());
-  CHECK(!r.sampled);
   CHECK(!r.truncated);
   CHECK_EQ(r.lls_checked, kThreads * kOps);
   CHECK(r.sc_commits > 0);
@@ -164,7 +153,6 @@ void export_roundtrip(const obs::TraceData& d) {
   CHECK(obs::load_chrome_trace(path, &loaded, &err));
   CHECK_EQ(loaded.vars.size(), d.vars.size());
   CHECK_EQ(loaded.per_pid.size(), d.per_pid.size());
-  CHECK_EQ(loaded.sample_shift, d.sample_shift);
   const obs::TraceData::VarInfo* info = loaded.var_info(0);
   CHECK(info != nullptr);
   CHECK_EQ(info->words, d.var_info(0)->words);
@@ -191,9 +179,7 @@ void export_roundtrip(const obs::TraceData& d) {
 }
 
 void truncation_tolerated() {
-  obs::TraceConfig cfg;
-  cfg.capacity = 64;  // force wraparound
-  obs::TraceSink sink(1, cfg);
+  obs::TraceSink sink(1, 64);  // force wraparound
   core::MwLLSC<llsc::Engine> obj(1, 3);
   obj.set_trace(&sink, 0);
   std::vector<std::uint64_t> buf(3);
@@ -224,23 +210,10 @@ void truncation_tolerated() {
   std::remove(path.c_str());
 }
 
-void sampled_trace_skips_checks() {
-  obs::TraceConfig cfg;
-  cfg.sample_shift = 3;
-  obs::TraceSink sink(1, cfg);
-  core::MwLLSC<llsc::Engine> obj(1, 2);
-  obj.set_trace(&sink, 0);
-  std::vector<std::uint64_t> buf(2);
-  for (int i = 0; i < 100; ++i) {
-    obj.ll(0, buf.data());
-    buf[0] += 1;
-    obj.sc(0, buf.data());
-  }
-  const obs::TraceData d = sink.collect();
-  CHECK(d.total_events() > 0);
-  const auto r = obs::check_trace(d);
-  CHECK(r.sampled);
-  CHECK(r.ok());  // a sampled stream proves nothing, violates nothing
+void empty_trace_checks_clean() {
+  const auto r = obs::check_trace(obs::TraceData{});
+  CHECK(r.ok());
+  CHECK_EQ(r.lls_checked, 0u);
 }
 
 /// The checker must reject what it claims to reject: synthetic traces with
@@ -362,9 +335,7 @@ struct FetchInc {
 void apps_trace() {
   constexpr unsigned kThreads = 3;
   constexpr std::uint64_t kOps = 400;
-  obs::TraceConfig cfg;
-  cfg.capacity = 1u << 16;
-  obs::TraceSink sink(kThreads, cfg);
+  obs::TraceSink sink(kThreads, 1u << 16);
   apps::WfUniversal<Counter, FetchInc> obj(kThreads, Counter{0});
   obj.set_trace(&sink, 0);
 
@@ -398,6 +369,74 @@ void apps_trace() {
   const auto r2 = obs::check_trace(loaded);
   CHECK(r2.ok());
   CHECK_EQ(r2.applies_checked, r.applies_checked);
+  std::remove(path.c_str());
+}
+
+void write_file(const std::string& path, const char* text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  CHECK(f != nullptr);
+  std::fputs(text, f);
+  std::fclose(f);
+}
+
+/// trace_check's exit status on `path` (output discarded).
+int trace_check_exit(const std::string& path) {
+  const std::string cmd =
+      std::string("\"") + TRACE_CHECK_EXE + "\" \"" + path + "\" > /dev/null";
+  const int rc = std::system(cmd.c_str());
+  CHECK(rc != -1 && WIFEXITED(rc));
+  return WEXITSTATUS(rc);
+}
+
+/// A vacuous file must not pass: the loader refuses anything without the
+/// exporter's header, and trace_check fails a well-formed trace that holds
+/// no events (a build that silently stopped emitting would write one).
+void vacuous_files_fail(const obs::TraceData& real) {
+  obs::TraceData d;
+  std::string err;
+
+  const std::string empty = "test_obs_empty.json";
+  write_file(empty, "");
+  CHECK(!obs::load_chrome_trace(empty, &d, &err));
+  CHECK(err.find("schema_version") != std::string::npos);
+  CHECK_EQ(trace_check_exit(empty), 1);
+
+  const std::string foreign = "test_obs_foreign.json";
+  write_file(foreign, "buildhost-7\n");
+  CHECK(!obs::load_chrome_trace(foreign, &d, &err));
+  CHECK_EQ(trace_check_exit(foreign), 1);
+
+  const std::string no_events = "test_obs_no_events.json";
+  obs::TraceData none;
+  none.per_pid.resize(2);
+  none.dropped.assign(2, 0);
+  CHECK(obs::write_chrome_trace(no_events, none));
+  CHECK(obs::load_chrome_trace(no_events, &d, &err));
+  CHECK_EQ(d.total_events(), 0u);
+  CHECK_EQ(trace_check_exit(no_events), 1);
+
+  // Positive control: a real trace passes the same tool.
+  const std::string good = "test_obs_good.json";
+  CHECK(obs::write_chrome_trace(good, real));
+  CHECK_EQ(trace_check_exit(good), 0);
+
+  for (const auto& p : {empty, foreign, no_events, good}) {
+    std::remove(p.c_str());
+  }
+}
+
+/// TraceEvent::pid is 16 bits: a tid that is not a valid pid is a load
+/// error, not a per_pid resize to billions of streams.
+void out_of_range_tid_rejected() {
+  const std::string path = "test_obs_bad_tid.json";
+  write_file(path,
+             "{\"ph\":\"i\",\"tid\":4000000000,\"name\":\"sc_commit\"}\n"
+             "  \"schema_version\": 4,\n");
+  obs::TraceData d;
+  std::string err;
+  CHECK(!obs::load_chrome_trace(path, &d, &err));
+  CHECK(err.find("tid 4000000000 out of range") != std::string::npos);
+  CHECK(d.per_pid.empty());
   std::remove(path.c_str());
 }
 
@@ -480,14 +519,15 @@ void trace_derived_metrics(const obs::TraceData& d) {
 
 int main() {
   ring_wraparound();
-  ring_sampling();
   handle_binding();
   const obs::TraceData d = traced_protocol_mt();
   export_roundtrip(d);
   trace_derived_metrics(d);
   truncation_tolerated();
-  sampled_trace_skips_checks();
+  empty_trace_checks_clean();
   checker_catches_violations();
+  vacuous_files_fail(d);
+  out_of_range_tid_rejected();
   apps_trace();
   metrics_registry();
   std::printf("test_obs: OK\n");

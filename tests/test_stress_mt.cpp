@@ -5,10 +5,10 @@
 // read would break that), and the final value must be exactly T*K: no lost
 // or duplicated increments.
 //
-// tests/CMakeLists.txt compiles this test WITH MWLLSC_TRACE, so the same
-// run doubles as the data-race check for the tracing hot path (TSan job):
-// every substrate stresses with live per-process rings, and the collected
-// trace replays through the offline checker afterwards.
+// Every substrate stresses with a bound trace sink, so the same run doubles
+// as the data-race check for the tracing hot path (TSan job): live
+// per-process rings, and the collected trace replays through the offline
+// checker afterwards.
 #include <atomic>
 #include <cstdint>
 #include <thread>
@@ -72,7 +72,6 @@ void stress_for(const core::MwLLSCFactory& f) {
   // slow LL can be helped.
   if (f.name == "jp") CHECK(s.ll_helped <= s.ll_slow);
 
-#if defined(MWLLSC_TRACE)
   // Replay the (ring-truncated) trace through the offline checker: the
   // 4W+12 bound and I2 must hold over whatever suffix survived.
   const auto r = obs::check_trace(sink.collect());
@@ -82,7 +81,6 @@ void stress_for(const core::MwLLSCFactory& f) {
   }
   CHECK(r.ok());
   CHECK(r.lls_checked > 0);
-#endif
   std::printf("    sc %llu/%llu, slow LLs %llu, helped LLs %llu, "
               "rescues %llu, help installs %llu\n",
               static_cast<unsigned long long>(s.sc_success),
