@@ -188,7 +188,7 @@ UniversalResult run_universal_wf(const apps::Substrate& substrate,
                                  bench::ObsSession& obs,
                                  const std::string& label) {
   apps::WfUniversal<Counter, Inc> obj(threads, Counter{0}, substrate);
-  obs.bind_obj(obj, label + " wf_universal");
+  obs.bind(obj, label + " wf_universal");
   // Relaxed op counter: summed after join(); the join supplies the
   // happens-before for the final read (DESIGN.md §9).
   std::atomic<std::uint64_t> ops{0};
@@ -208,7 +208,7 @@ double queue_mops(const apps::Substrate& substrate, unsigned threads,
                   std::uint64_t duration_ns, bench::ObsSession& obs,
                   const std::string& label) {
   apps::WfQueue<64> q(threads, substrate);
-  obs.bind_obj(q, label + " wf_queue");
+  obs.bind(q, label + " wf_queue");
   // Relaxed op counter: summed after join(); the join supplies the
   // happens-before for the final read (DESIGN.md §9).
   std::atomic<std::uint64_t> ops{0};
@@ -377,7 +377,7 @@ int main(int argc, char** argv) {
     obs.bind(*obj, "jp epilogue w=8");
     apps::WfUniversal<Counter, Inc> wf(threads, Counter{0},
                                        bench::factory_by_name("jp").make);
-    obs.bind_obj(wf, "jp epilogue wf_universal");
+    obs.bind(wf, "jp epilogue wf_universal");
     std::vector<std::thread> pool;
     for (unsigned t = 0; t < threads; ++t) {
       pool.emplace_back([&, t] {
@@ -396,12 +396,6 @@ int main(int argc, char** argv) {
     obs.registry().absorb("impl=\"jp\",workload=\"epilogue\"", obj->stats());
   }
 
-  if (!json_path.empty()) {
-    if (!out.write(json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  if (!json_path.empty() && !out.write(json_path)) return 1;
   return obs.finish() ? 0 : 1;
 }

@@ -1,7 +1,7 @@
-// Shared infrastructure for the benchmark harness (experiments E1-E9, see
-// DESIGN.md §4): implementation factories behind the IMwLLSC facade and a
-// timed mixed-workload throughput driver, so every series in every table is
-// produced by identical code.
+// Shared infrastructure for the benchmark harness (experiments E1–E10, see
+// DESIGN.md §4): implementation factories behind the IMwLLSC facade, so
+// every series in every table is produced by identical code, plus the
+// BENCH_*.json writer and the --trace / --metrics session.
 #pragma once
 
 #include <atomic>
@@ -68,71 +68,12 @@ inline core::MwLLSCFactory factory_by_name(const std::string& name) {
   std::abort();
 }
 
-/// Thread counts for scaling experiments: 1, 2, 4, ... up to the hardware.
-inline std::vector<unsigned> scaling_thread_counts(unsigned cap = 0) {
-  unsigned hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 4;
-  if (cap != 0 && hw > cap) hw = cap;
-  std::vector<unsigned> out;
-  for (unsigned t = 1; t <= hw; t *= 2) out.push_back(t);
-  if (out.back() != hw) out.push_back(hw);
-  return out;
-}
-
-struct ThroughputResult {
-  double mops = 0;            // million operations per second (LL+SC pairs)
-  double sc_success_rate = 0; // successful SCs / attempted SCs
-  core::OpStatsSnapshot stats;
-};
-
-/// Timed mixed workload: every thread loops { LL; modify; SC } on a private
-/// process id for `duration_ns`. This is the paper's canonical use pattern
-/// (read-modify-write of a W-word object).
-inline ThroughputResult run_rmw_throughput(core::IMwLLSC& obj,
-                                           unsigned threads,
-                                           std::uint64_t duration_ns) {
-  // Relaxed op counter: summed after join(); the join supplies the
-  // happens-before for the final read (DESIGN.md §9).
-  std::atomic<std::uint64_t> total_pairs{0};
-  util::TimedRun run;
-  run.run_for(threads, duration_ns, [&](unsigned t) {
-    std::vector<std::uint64_t> value(obj.words());
-    std::uint64_t pairs = 0;
-    util::SplitMix64 g(t + 1);
-    while (!run.should_stop()) {
-      obj.ll(t, value.data());
-      value[0] += 1;
-      if (obj.words() > 1) value[obj.words() - 1] = g.next();
-      obj.sc(t, value.data());
-      ++pairs;
-    }
-    total_pairs.fetch_add(pairs, std::memory_order_relaxed);
-  });
-  ThroughputResult r;
-  r.stats = obj.stats();
-  r.mops = static_cast<double>(total_pairs.load(std::memory_order_relaxed)) /
-           (static_cast<double>(run.measured_ns()) / 1e9) / 1e6;
-  r.sc_success_rate = r.stats.sc_ops
-                          ? static_cast<double>(r.stats.sc_success) /
-                                static_cast<double>(r.stats.sc_ops)
-                          : 0.0;
-  return r;
-}
-
-/// Mixed reader/writer workload: `writers` threads do LL;SC, the rest do LL
-/// only. Returns reader+writer op rates.
-struct MixedResult {
-  double reader_mops = 0;
-  double writer_mops = 0;
-  core::OpStatsSnapshot stats;
-};
-
 // ------------------------------------------------------------------------
 // Recorded perf trajectory (BENCH_*.json).
 //
-// Benches accept `--json <path>` and emit a flat machine-readable snapshot
-// instead of (or besides) their human tables, so each PR's numbers are a
-// diffable artifact rather than an anecdote. The format is deliberately
+// Benches accept `--json <path>` and write the rows their tables print as a
+// flat machine-readable snapshot, so each PR's numbers are a diffable
+// artifact rather than an anecdote. The format is deliberately
 // minimal: {"bench": ..., "schema": ..., "rows": [{k: v, ...}, ...]}, and
 // the header records the git revision, compiler, CPU model and usable CPU
 // count so rows from different builds and machines can be told apart.
@@ -234,9 +175,14 @@ class JsonEmitter {
     rows_.back().emplace_back(k, b);
   }
 
+  /// Writes the snapshot to `path` and reports the outcome ("wrote PATH"
+  /// on stdout, or why not on stderr). Returns false if any byte was lost.
   bool write(const std::string& path) const {
     std::FILE* f = std::fopen(path.c_str(), "w");
-    if (!f) return false;
+    if (!f) {
+      std::fprintf(stderr, "cannot open %s\n", path.c_str());
+      return false;
+    }
     std::fprintf(f, "{\n  \"bench\": \"%s\",\n  \"schema\": \"%s\",\n",
                  bench_.c_str(), schema_.c_str());
     std::fprintf(f, "  \"schema_version\": %u,\n  \"git\": \"%s\",\n",
@@ -257,7 +203,12 @@ class JsonEmitter {
       std::fprintf(f, "}%s\n", r + 1 < rows_.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
+    std::string err;
+    if (!obs::close_written(f, path, &err)) {
+      std::fprintf(stderr, "%s\n", err.c_str());
+      return false;
+    }
+    std::printf("wrote %s\n", path.c_str());
     return true;
   }
 
@@ -275,21 +226,6 @@ class JsonEmitter {
 // registry, and call finish() after the threads join. --trace binds a
 // sink, which is all tracing needs; the metrics registry always works.
 
-/// argv without the ObsSession flags and their values, for parsers that
-/// reject unknown arguments (google-benchmark).
-inline std::vector<char*> strip_obs_flags(int argc, char** argv) {
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--trace") == 0 ||
-        std::strcmp(argv[i], "--metrics") == 0) {
-      ++i;  // skip the flag's value too
-      continue;
-    }
-    args.push_back(argv[i]);
-  }
-  return args;
-}
-
 class ObsSession {
  public:
   ObsSession(int argc, char** argv, std::uint32_t nprocs)
@@ -301,51 +237,38 @@ class ObsSession {
   }
 
   bool tracing() const { return sink_ != nullptr; }
-  bool metrics_requested() const { return !metrics_path_.empty(); }
-  obs::TraceSink* sink() { return sink_.get(); }
   obs::MetricsRegistry& registry() { return registry_; }
 
-  /// Binds a facade object under a fresh variable id; `label` should start
-  /// with the substrate name ("jp w=4 n=8") so the offline checker's
-  /// prefix rules apply (the object self-describes first; this richer
-  /// label overwrites it).
-  std::uint32_t bind(core::IMwLLSC& obj, const std::string& label) {
-    const std::uint32_t id = next_var_++;
-    if (sink_) {
-      obj.set_trace(sink_.get(), id);
-      sink_->describe_var(id, obj.words(), label);
-    }
-    return id;
-  }
-
-  /// Binds any object exposing set_trace(TraceSink*, var) + words() —
-  /// the apps-layer constructions.
+  /// Binds any object exposing set_trace(TraceSink*, var) + words() (the
+  /// IMwLLSC facade, the apps constructions, the managed object) under a
+  /// fresh variable id. `label` should start with the substrate name
+  /// ("jp w=4 n=8") so the offline checker's prefix rules apply (the
+  /// object self-describes first; this richer label overwrites it).
   template <class T>
-  std::uint32_t bind_obj(T& obj, const std::string& label) {
+  void bind(T& obj, const std::string& label) {
     const std::uint32_t id = next_var_++;
     if (sink_) {
       obj.set_trace(sink_.get(), id);
       sink_->describe_var(id, obj.words(), label);
     }
-    return id;
-  }
-
-  /// Absorbs an implementation's counters under `impl="<name>"` labels.
-  void absorb_stats(const std::string& impl,
-                    const core::OpStatsSnapshot& s) {
-    registry_.absorb("impl=\"" + impl + "\"", s);
   }
 
   /// Collects rings, derives trace metrics, and writes the requested
   /// files. Call after every traced thread has joined. Returns false if
-  /// any requested file failed to write.
+  /// any requested file failed to write, or if --trace recorded no events
+  /// (trace_check would fail that file, so the run fails first).
   bool finish() {
     bool ok = true;
     std::string err;
-    if (sink_ && !trace_path_.empty()) {
+    if (sink_) {
       const obs::TraceData d = sink_->collect();
       registry_.absorb_trace(d);
-      if (obs::write_chrome_trace(trace_path_, d, &err)) {
+      if (d.total_events() == 0) {
+        std::fprintf(stderr,
+                     "[obs] NO EVENTS: --trace %s recorded nothing\n",
+                     trace_path_.c_str());
+        ok = false;
+      } else if (obs::write_chrome_trace(trace_path_, d, &err)) {
         std::fprintf(stderr,
                      "[obs] wrote %llu events (%u procs) to %s\n",
                      static_cast<unsigned long long>(d.total_events()),
@@ -382,39 +305,5 @@ class ObsSession {
   obs::MetricsRegistry registry_;
   std::uint32_t next_var_ = 0;
 };
-
-inline MixedResult run_mixed_throughput(core::IMwLLSC& obj, unsigned threads,
-                                        unsigned writers,
-                                        std::uint64_t duration_ns) {
-  // Relaxed op counter: summed after join(); the join supplies the
-  // happens-before for the final read (DESIGN.md §9).
-  std::atomic<std::uint64_t> reads{0}, writes{0};
-  util::TimedRun run;
-  run.run_for(threads, duration_ns, [&](unsigned t) {
-    std::vector<std::uint64_t> value(obj.words());
-    std::uint64_t ops = 0;
-    if (t < writers) {
-      while (!run.should_stop()) {
-        obj.ll(t, value.data());
-        value[0] += 1;
-        obj.sc(t, value.data());
-        ++ops;
-      }
-      writes.fetch_add(ops, std::memory_order_relaxed);
-    } else {
-      while (!run.should_stop()) {
-        obj.ll(t, value.data());
-        ++ops;
-      }
-      reads.fetch_add(ops, std::memory_order_relaxed);
-    }
-  });
-  MixedResult r;
-  r.stats = obj.stats();
-  const double secs = static_cast<double>(run.measured_ns()) / 1e9;
-  r.reader_mops = static_cast<double>(reads.load(std::memory_order_relaxed)) / secs / 1e6;
-  r.writer_mops = static_cast<double>(writes.load(std::memory_order_relaxed)) / secs / 1e6;
-  return r;
-}
 
 }  // namespace mwllsc::bench

@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
   bool ok = true;
   for (const auto& sc : scenarios) {
     Managed m(slots, kWords);
-    obs.bind_obj(m, "jp managed w=" + std::to_string(kWords) + " slots=" +
+    obs.bind(m, "jp managed w=" + std::to_string(kWords) + " slots=" +
                         std::to_string(slots) + " " + sc.name);
     const ChurnResult r =
         run_scenario(m, sc.threads, sessions, ops, sc.abandon_every);
@@ -205,13 +205,7 @@ int main(int argc, char** argv) {
   table.print();
   std::printf("\n");
 
-  if (!json_path.empty()) {
-    if (!out.write(json_path)) {
-      std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
+  if (!json_path.empty() && !out.write(json_path)) return 1;
   if (!obs.finish()) ok = false;
   return ok ? 0 : 1;
 }

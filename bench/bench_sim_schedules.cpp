@@ -226,7 +226,7 @@ int main(int argc, char** argv) {
     WorkloadConfig cfg;
     cfg.ops_per_proc = smoke ? 4000 : 20000;
     SimWorkload<Jp> wl(3, 4, cfg);
-    obs.bind_obj(wl.object(), "jp w=4 n=3 (simulated)");
+    obs.bind(wl.object(), "jp w=4 n=3 (simulated)");
     JpChecker chk(wl);
     util::Stopwatch sw;
     const RunResult r = run_random(wl, chk, 1);

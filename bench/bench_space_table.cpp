@@ -8,7 +8,6 @@
 //   * the per-component breakdown of the JP object at a reference point.
 //
 // Run: ./bench_space_table [--metrics PATH]
-//      (no threads run here, so --trace produces an empty trace)
 #include <cstdio>
 #include <string>
 #include <vector>

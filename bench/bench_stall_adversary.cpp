@@ -10,9 +10,9 @@
 //   * with a lock (rmw under mutex): the object is unavailable for delta on
 //                            every slow-thread operation — every fast
 //                            thread convoys behind it;
-//   * with retry (lock-free): fast *writers* are fine, but this experiment
-//                            also shows the reader-starvation flip side via
-//                            p-max of a pure reader.
+//   * with retry (lock-free): fast *writers* are fine. Its flip side,
+//                            reader starvation, is shown by E9 and by
+//                            test_sim's adversarial schedules, not here.
 //
 // Reported per delta: fast-thread throughput, and p50/p99/max fast-thread
 // op latency.

@@ -300,6 +300,20 @@ inline double us_of(const TraceData& d, std::uint64_t tsc) {
 
 }  // namespace detail
 
+/// Closes a file this header (or a bench) wrote. A write that failed
+/// along the way — ENOSPC sets the stream's error flag, or surfaces when
+/// fclose flushes — returns false and fills *err, so no exporter reports
+/// a file it lost.
+inline bool close_written(std::FILE* f, const std::string& path,
+                          std::string* err = nullptr) {
+  const bool failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || failed) {
+    if (err) *err = "write failed: " + path;
+    return false;
+  }
+  return true;
+}
+
 /// Writes the collected trace as Chrome-trace JSON (open in Perfetto /
 /// chrome://tracing). Returns false and fills *err on I/O failure.
 inline bool write_chrome_trace(const std::string& path, const TraceData& d,
@@ -465,8 +479,7 @@ inline bool write_chrome_trace(const std::string& path, const TraceData& d,
                  i + 1 < d.vars.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n}\n");
-  std::fclose(f);
-  return true;
+  return close_written(f, path, err);
 }
 
 // ------------------------------------------------------- chrome-trace load
@@ -671,8 +684,7 @@ inline bool write_prometheus(const std::string& path,
       series(base, "", m.value);
     }
   }
-  std::fclose(f);
-  return true;
+  return close_written(f, path, err);
 }
 
 inline bool write_metrics_json(const std::string& path,
@@ -705,8 +717,7 @@ inline bool write_metrics_json(const std::string& path,
     std::fprintf(f, "%s\n", ++i < all.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  return true;
+  return close_written(f, path, err);
 }
 
 }  // namespace mwllsc::obs

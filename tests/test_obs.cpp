@@ -11,7 +11,8 @@
 //   * the loader rejects files the exporter did not write and tids that
 //     are not pids, and trace_check fails a file with no events;
 //   * apps-layer events and the <= 3-round apply bound;
-//   * MetricsRegistry absorption + Prometheus/JSON export.
+//   * MetricsRegistry absorption + Prometheus/JSON export;
+//   * every exporter reports a write lost to a full disk.
 #include <sys/wait.h>
 
 #include <cstdio>
@@ -502,6 +503,30 @@ void metrics_registry() {
   std::remove(json.c_str());
 }
 
+/// A full disk must not pass for a written file: every exporter returns
+/// false with an error when the bytes are lost (/dev/full fails each write
+/// with ENOSPC).
+void full_disk_reported(const obs::TraceData& d) {
+  const std::string full = "/dev/full";
+  if (std::FILE* probe = std::fopen(full.c_str(), "w")) {
+    std::fclose(probe);
+  } else {
+    std::printf("test_obs: no %s, full-disk case skipped\n", full.c_str());
+    return;
+  }
+  obs::MetricsRegistry reg;
+  reg.absorb_trace(d);
+  std::string err;
+  CHECK(!obs::write_chrome_trace(full, d, &err));
+  CHECK(err.find(full) != std::string::npos);
+  err.clear();
+  CHECK(!obs::write_prometheus(full, reg, &err));
+  CHECK(err.find(full) != std::string::npos);
+  err.clear();
+  CHECK(!obs::write_metrics_json(full, reg, &err));
+  CHECK(err.find(full) != std::string::npos);
+}
+
 void trace_derived_metrics(const obs::TraceData& d) {
   obs::MetricsRegistry reg;
   reg.absorb_trace(d);
@@ -530,6 +555,7 @@ int main() {
   out_of_range_tid_rejected();
   apps_trace();
   metrics_registry();
+  full_disk_reported(d);
   std::printf("test_obs: OK\n");
   return 0;
 }
