@@ -8,11 +8,12 @@
 // *spare* it writes its next SC value into and an *exchange* buffer it
 // offers through its announce slot (and reuses as help-copy scratch). R
 // buffers rest in the global *retirement ring*; the remaining buffer is
-// current. The 1-word LL/SC variable X holds the current buffer's index;
-// its sequence tag is the abstract version: tag T's value is whatever the
-// T-th successful SC installed. Every tag comparison is taken mod 2^46
-// (the envelope table in core/llsc.hpp), so the object runs across a tag
-// wrap unchanged.
+// current. Each buffer row starts its own cache line; the R ring words and
+// the N announce words are packed eight to a line. The 1-word LL/SC
+// variable X holds the current buffer's index; its sequence tag is the
+// abstract version: tag T's value is whatever the T-th successful SC
+// installed. Every tag comparison is taken mod 2^46 (the envelope table in
+// core/llsc.hpp), so the object runs across a tag wrap unchanged.
 //
 // Fast path with aged validation. LL(p) first links X (tag T, buffer b),
 // copies b, then re-reads X's tag, announcing nothing: the snapshot is
@@ -117,24 +118,16 @@ class MwLLSC {
         p2_(next_pow2(nprocs)),
         ring_size_(p2_ < 2 ? 2 : p2_),
         nbufs_(2 * nprocs + ring_size_ + 1),
-        stride_((words + 7) & ~7u),
+        row_lines_(lines_for(words)),
         x_(nprocs, 2 * nprocs + ring_size_),
-        raw_buf_(new Atomic<std::uint64_t>[
-            static_cast<std::size_t>(2 * nprocs + ring_size_ + 1) *
-                ((words + 7) & ~7u) + 7]),
-        ring_(new RingCell[ring_size_]),
-        announce_(new AnnounceSlot[nprocs]),
+        rows_(std::make_unique<Line[]>(static_cast<std::size_t>(nbufs_) *
+                                       row_lines_)),
+        ring_(std::make_unique<Line[]>(lines_for(ring_size_))),
+        announce_(std::make_unique<Line[]>(lines_for(nprocs))),
         priv_(new Priv[nprocs]),
         stats_(nprocs) {
     assert(words >= 1);
-    // Align buffer row 0 to a cache line so the stride padding isolates
-    // rows from each other (the false-sharing fix E2/E3 measure).
-    auto addr = reinterpret_cast<std::uintptr_t>(raw_buf_.get());
-    buf0_ = raw_buf_.get() + ((64 - (addr & 63)) & 63) / sizeof(std::uint64_t);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(nbufs_) * stride_;
-         ++i) {
-      buf0_[i].store(0, std::memory_order_relaxed);
-    }
+    // make_unique value-initializes every line, so all words start at zero.
     // Buffer 2N+R is current (all-zero initial value); process p owns
     // spare p and exchange buffer N+p; ring cell j seeds buffer 2N+j with
     // the cell's last tag in [T0-R, T0), T0 being X's initial tag: already
@@ -142,15 +135,14 @@ class MwLLSC {
     for (std::uint32_t p = 0; p < n_; ++p) {
       priv_[p].spare = p;
       priv_[p].xbuf = n_ + p;
-      announce_[p].a.store(pack_a(kIdle, n_ + p, 0),
-                           std::memory_order_relaxed);
+      slot(p).store(pack_a(kIdle, n_ + p, 0), std::memory_order_relaxed);
     }
     const std::uint64_t t0 = x_.current_tag();
     for (std::uint32_t j = 0; j < ring_size_; ++j) {
       const std::uint64_t seed_tag =
           (t0 - ring_size_ + ((j - t0) & (ring_size_ - 1))) & llsc::kTagMask;
-      ring_[j].w.store(llsc::pack(2 * n_ + j, seed_tag),
-                       std::memory_order_relaxed);
+      ring_cell(j).store(llsc::pack(2 * n_ + j, seed_tag),
+                         std::memory_order_relaxed);
     }
   }
 
@@ -190,8 +182,8 @@ class MwLLSC {
       // mwllsc-ordering: seq_cst(this store and the winners' pre-SC probes
       // of A[(T+1) mod P] share one total order, so a winner that misses
       // the announce must have linked before it — bounding drift at P tags)
-      announce_[p].a.store(pack_a(kWaiting, me.xbuf, me.seq),
-                           std::memory_order_seq_cst);
+      slot(p).store(pack_a(kWaiting, me.xbuf, me.seq),
+                    std::memory_order_seq_cst);
       trace_.emit<kTraced>(obs::EventKind::kLlSlow, p, me.seq);
       while ((drift = link_and_copy(p, out, &b, &t0)) > p2_) {
         // Drift >= P+1: the P winners that linked after our announce swept
@@ -199,7 +191,7 @@ class MwLLSC {
         // mwllsc-ordering: seq_cst(this load sits in the same total order
         // as the announce store and the winners' probes — the sweep
         // argument only holds inside that order)
-        const std::uint64_t a = announce_[p].a.load(std::memory_order_seq_cst);
+        const std::uint64_t a = slot(p).load(std::memory_order_seq_cst);
         if (state_of_a(a) == kHelped && seq_of_a(a) == me.seq) {
           // Return the donated snapshot. We own the buffer now; no
           // validation needed.
@@ -224,7 +216,7 @@ class MwLLSC {
       // exactly one side of the ownership exchange.
       // mwllsc-ordering: seq_cst(withdraw vs donation CAS, one winner)
       std::uint64_t expect = pack_a(kWaiting, me.xbuf, me.seq);
-      if (!announce_[p].a.compare_exchange_strong(
+      if (!slot(p).compare_exchange_strong(
               expect, pack_a(kIdle, me.xbuf, me.seq),
               std::memory_order_seq_cst)) {
         if (state_of_a(expect) == kHelped && seq_of_a(expect) == me.seq) {
@@ -284,7 +276,7 @@ class MwLLSC {
       // order: a probe after the announce cannot miss kWaiting.
       // mwllsc-ordering: seq_cst(probe half of the announce handshake)
       const std::uint64_t seen =
-          announce_[target].a.load(std::memory_order_seq_cst);
+          slot(target).load(std::memory_order_seq_cst);
       if (state_of_a(seen) == kWaiting) {
         // Pre-SC help: copy the (still linked) current buffer into our
         // exchange buffer, re-validate the link seqlock-style — if it
@@ -298,7 +290,7 @@ class MwLLSC {
           // slot; exactly one wins.
           // mwllsc-ordering: seq_cst(donation before SC; races withdraw)
           std::uint64_t expect = seen;
-          if (announce_[target].a.compare_exchange_strong(
+          if (slot(target).compare_exchange_strong(
                   expect, pack_a(kHelped, me.xbuf, seq_of_a(seen)),
                   std::memory_order_seq_cst)) {
             me.xbuf = buf_of_a(seen);  // ownership exchange, O(1)
@@ -365,7 +357,7 @@ class MwLLSC {
     // mwllsc-ordering: seq_cst(the withdraw-by-proxy races a winner's
     // donation CAS on this slot exactly like the owner's withdraw does;
     // the single total order picks one side of the ownership exchange)
-    std::uint64_t a = announce_[p].a.load(std::memory_order_seq_cst);
+    std::uint64_t a = slot(p).load(std::memory_order_seq_cst);
     std::uint32_t xbuf;
     for (;;) {
       // Only a donation to the LL in flight is unconsumed; a HELPED word
@@ -377,8 +369,7 @@ class MwLLSC {
           pack_a(kIdle, xbuf, (seq_of_a(a) + 1) & kSeqMask);
       // mwllsc-ordering: seq_cst(same handshake as the load above: one
       // winner between this withdraw-by-proxy and a racing donation)
-      if (announce_[p].a.compare_exchange_weak(a, next,
-                                               std::memory_order_seq_cst)) {
+      if (slot(p).compare_exchange_weak(a, next, std::memory_order_seq_cst)) {
         break;
       }
       // Lost to a donation landing on the dead WAITING word; the reloaded
@@ -414,11 +405,11 @@ class MwLLSC {
   util::Footprint footprint() const {
     util::Footprint f;
     f.add("X descriptor (1-word LL/SC)", x_.shared_bytes());
-    f.add("value buffers ((2N+R+1) x W words, rows line-padded)",
-          static_cast<std::size_t>(nbufs_) * stride_ * sizeof(std::uint64_t) +
-              64);  // + alignment slack
-    f.add("retirement ring (R cells)", ring_size_ * sizeof(RingCell));
-    f.add("announce/help slots (N)", n_ * sizeof(AnnounceSlot));
+    f.add("value buffers ((2N+R+1) rows of ceil(W/8) lines)",
+          static_cast<std::size_t>(nbufs_) * row_lines_ * sizeof(Line));
+    f.add("retirement ring (R words, packed)",
+          lines_for(ring_size_) * sizeof(Line));
+    f.add("announce words (N, packed)", lines_for(n_) * sizeof(Line));
     f.add("per-process state (private)",
           n_ * sizeof(Priv) + x_.private_bytes() + stats_.bytes(),
           util::Footprint::Ownership::kPerProcess);
@@ -457,13 +448,16 @@ class MwLLSC {
     return p;
   }
 
-  struct alignas(64) AnnounceSlot {
-    Atomic<std::uint64_t> a;
+  /// One cache line of shared words. Lines carry no padding, so a row's
+  /// ceil(W/8) consecutive lines hold its W words contiguously.
+  struct alignas(64) Line {
+    Atomic<std::uint64_t> w[8];
   };
+  static_assert(sizeof(Line) == 8 * sizeof(Atomic<std::uint64_t>));
 
-  struct alignas(64) RingCell {
-    Atomic<std::uint64_t> w;  ///< X's format: buf(18) | tag(46)
-  };
+  static std::uint32_t lines_for(std::uint32_t words) {
+    return (words + 7) / 8;
+  }
 
   static constexpr std::uint64_t kNoRetire = ~std::uint64_t{0};
 
@@ -479,7 +473,13 @@ class MwLLSC {
   };
 
   Atomic<std::uint64_t>* buf_row(std::uint32_t b) const {
-    return buf0_ + static_cast<std::size_t>(b) * stride_;
+    return rows_[static_cast<std::size_t>(b) * row_lines_].w;
+  }
+  Atomic<std::uint64_t>& ring_cell(std::uint32_t j) const {
+    return ring_[j / 8].w[j % 8];
+  }
+  Atomic<std::uint64_t>& slot(std::uint32_t p) const {
+    return announce_[p / 8].w[p % 8];
   }
 
   void copy_out(std::uint32_t b, std::uint64_t* out) const {
@@ -525,10 +525,10 @@ class MwLLSC {
   void retire(std::uint32_t p, Priv& me) {
     const std::uint32_t retired = me.ll_buf;
     const std::uint64_t mytag = me.retire_tag;
-    RingCell& cell =
-        ring_[static_cast<std::uint32_t>(mytag) & (ring_size_ - 1)];
+    Atomic<std::uint64_t>& cell =
+        ring_cell(static_cast<std::uint32_t>(mytag) & (ring_size_ - 1));
     for (;;) {
-      const std::uint64_t rw = cell.w.load(std::memory_order_acquire);
+      const std::uint64_t rw = cell.load(std::memory_order_acquire);
       const std::uint64_t d = (mytag - llsc::tag_of(rw)) & llsc::kTagMask;
       // All tags in a cell are congruent mod R, so d is a multiple of R:
       // d >= R with the high bits clear means the cell is genuinely
@@ -542,8 +542,8 @@ class MwLLSC {
       // I2 and the aging bound R.
       // mwllsc-ordering: seq_cst(one retiree per tag resolves the cell)
       std::uint64_t expect = rw;
-      if (cell.w.compare_exchange_strong(expect, llsc::pack(retired, mytag),
-                                         std::memory_order_seq_cst)) {
+      if (cell.compare_exchange_strong(expect, llsc::pack(retired, mytag),
+                                       std::memory_order_seq_cst)) {
         me.spare = llsc::buf_of(rw);
         break;
       }
@@ -562,12 +562,17 @@ class MwLLSC {
   const std::uint32_t p2_;        ///< N rounded up to a power of two (P)
   const std::uint32_t ring_size_; ///< R = max(2, P), a power of two
   const std::uint32_t nbufs_;
-  const std::uint32_t stride_;    ///< buffer row pitch, words (line-padded)
+  const std::uint32_t row_lines_;  ///< lines per buffer row, ceil(W/8)
   LLSC x_;
-  std::unique_ptr<Atomic<std::uint64_t>[]> raw_buf_;
-  Atomic<std::uint64_t>* buf0_ = nullptr;  ///< 64B-aligned row 0
-  std::unique_ptr<RingCell[]> ring_;
-  std::unique_ptr<AnnounceSlot[]> announce_;
+  std::unique_ptr<Line[]> rows_;  ///< 2N+R+1 rows; none shares a line
+  // The R ring words share ceil(R/8) lines. Packing them costs little:
+  // only SC winners write them (or reclaim_pid for one), one resolution
+  // per tag.
+  std::unique_ptr<Line[]> ring_;  ///< X's format: buf(18) | tag(46)
+  // The N announce words share ceil(N/8) lines. Only slow-path LLs, their
+  // withdraws and donations write them (or reclaim_pid's proxy withdraw);
+  // fast-path LLs never do.
+  std::unique_ptr<Line[]> announce_;
   std::unique_ptr<Priv[]> priv_;
   util::OpStatsArray stats_;
   obs::TraceHandle trace_;

@@ -78,7 +78,18 @@ struct Inspector<Jp> {
   static std::uint32_t num_bufs(const Jp& o) { return o.nbufs_; }
   static std::uint32_t ring_size(const Jp& o) { return o.ring_size_; }
   static std::uint32_t ring_buf(const Jp& o, std::uint32_t j) {
-    return llsc::buf_of(o.ring_[j].w.peek());
+    return llsc::buf_of(o.ring_cell(j).peek());
+  }
+  /// Addresses of buffer b's first word, ring word j and p's announce
+  /// word (the layout test checks alignment and packing).
+  static const void* row_addr(const Jp& o, std::uint32_t b) {
+    return o.buf_row(b);
+  }
+  static const void* ring_addr(const Jp& o, std::uint32_t j) {
+    return &o.ring_cell(j);
+  }
+  static const void* announce_addr(const Jp& o, std::uint32_t p) {
+    return &o.slot(p);
   }
   static std::uint32_t spare_of(const Jp& o, std::uint32_t p) {
     return o.priv_[p].spare;
@@ -89,7 +100,7 @@ struct Inspector<Jp> {
   /// word may name a buffer p has since donated away as a helper.
   static std::uint32_t exchange_buf_of(const Jp& o, std::uint32_t p) {
     const auto& me = o.priv_[p];
-    const std::uint64_t a = o.announce_[p].a.peek();
+    const std::uint64_t a = o.slot(p).peek();
     if (me.announced && Jp::seq_of_a(a) == me.seq &&
         Jp::state_of_a(a) != Jp::kIdle) {
       return Jp::buf_of_a(a);
@@ -102,13 +113,13 @@ struct Inspector<Jp> {
   }
   /// p's current LL has posted its announce and no donation replaced it.
   static bool announce_posted(const Jp& o, std::uint32_t p) {
-    const std::uint64_t a = o.announce_[p].a.peek();
+    const std::uint64_t a = o.slot(p).peek();
     return o.priv_[p].announced && Jp::state_of_a(a) == Jp::kWaiting &&
            Jp::seq_of_a(a) == o.priv_[p].seq;
   }
   /// A donation to p's current LL sits in its slot.
   static bool donation_posted(const Jp& o, std::uint32_t p) {
-    const std::uint64_t a = o.announce_[p].a.peek();
+    const std::uint64_t a = o.slot(p).peek();
     return o.priv_[p].announced && Jp::state_of_a(a) == Jp::kHelped &&
            Jp::seq_of_a(a) == o.priv_[p].seq;
   }

@@ -1,12 +1,15 @@
 // Space-complexity shape checks (Theorem 1 / experiment E1): the paper's
 // algorithm is O(NW) shared words while the Anderson–Moir-style baseline is
 // O(N^2 W), so doubling N should roughly double jp and roughly quadruple
-// am. Fitted log-log exponents make the asymptotics explicit.
+// am. Fitted log-log exponents make the asymptotics explicit. jp's exact
+// layout is pinned too: one line for X, ceil(W/8) lines per buffer row, and
+// the ring and announce words packed eight to a line.
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "sim/inspect.hpp"
 #include "test_check.hpp"
 
 using namespace mwllsc;
@@ -15,6 +18,46 @@ namespace {
 
 std::size_t shared_bytes(core::IMwLLSC& obj) {
   return obj.footprint().shared_bytes();
+}
+
+std::uintptr_t addr(const void* p) {
+  return reinterpret_cast<std::uintptr_t>(p);
+}
+
+std::size_t lines_for(std::size_t words) { return (words + 7) / 8; }
+
+// jp's shared bytes and line placement at (N, W): the native object's
+// footprint, and the simulated twin's addresses through sim::Inspector
+// (the same template, so the same layout).
+void check_jp_layout(std::uint32_t n, std::uint32_t w) {
+  std::size_t r = 2;
+  while (r < n) r <<= 1;
+  const std::size_t rows = 2 * std::size_t{n} + r + 1;
+  const std::size_t bytes =
+      64 * (1 + rows * lines_for(w) + lines_for(r) + lines_for(n));
+  auto native = bench::factory_by_name("jp").make(n, w);
+  CHECK_EQ(shared_bytes(*native), bytes);
+  const sim::Jp s(n, w);
+  CHECK_EQ(s.footprint().shared_bytes(), bytes);
+
+  using Peek = sim::Inspector<sim::Jp>;
+  CHECK_EQ(Peek::num_bufs(s), rows);
+  CHECK_EQ(Peek::ring_size(s), r);
+  const std::uintptr_t row0 = addr(Peek::row_addr(s, 0));
+  const std::uintptr_t ring0 = addr(Peek::ring_addr(s, 0));
+  const std::uintptr_t ann0 = addr(Peek::announce_addr(s, 0));
+  CHECK_EQ(row0 % 64, 0u);
+  CHECK_EQ(ring0 % 64, 0u);
+  CHECK_EQ(ann0 % 64, 0u);
+  for (std::uint32_t b = 0; b < rows; ++b) {
+    CHECK_EQ(addr(Peek::row_addr(s, b)) - row0, 64 * lines_for(w) * b);
+  }
+  for (std::uint32_t j = 0; j < r; ++j) {
+    CHECK_EQ(addr(Peek::ring_addr(s, j)) - ring0, 8u * j);
+  }
+  for (std::uint32_t p = 0; p < n; ++p) {
+    CHECK_EQ(addr(Peek::announce_addr(s, p)) - ann0, 8u * p);
+  }
 }
 
 }  // namespace
@@ -45,8 +88,9 @@ int main() {
   CHECK(am_exp > 1.6 && am_exp < 2.4);
 
   // At equal geometry am pays a factor ~Theta(N) more shared space than
-  // jp. The divisor absorbs jp's constant (2N+R+1 line-padded buffers plus
-  // the ring); the fitted exponents above carry the asymptotic claim.
+  // jp. The divisor absorbs jp's constant (2N+R+1 line-aligned rows plus
+  // the packed ring and announce lines); the fitted exponents above carry
+  // the asymptotic claim.
   const double ratio = am.back() / jp.back();
   CHECK(ratio > static_cast<double>(ns.back()) / 8);
 
@@ -57,14 +101,11 @@ int main() {
                         static_cast<double>(shared_bytes(*j16));
   CHECK(wratio > 2.5 && wratio < 4.5);
 
-  // Buffer rows are padded to cache-line multiples (the false-sharing
-  // fix), and footprint() reports the real padded size: any W within the
-  // same 8-word stride costs the same, and crossing the stride grows it.
-  auto j5 = bench::factory_by_name("jp").make(8, 5);
-  auto j8 = bench::factory_by_name("jp").make(8, 8);
-  auto j9 = bench::factory_by_name("jp").make(8, 9);
-  CHECK_EQ(shared_bytes(*j5), shared_bytes(*j8));
-  CHECK(shared_bytes(*j9) > shared_bytes(*j8));
+  // Exact sizes and placement: any W within one 8-word line costs the same
+  // (W = 1, 4, 8), and crossing it adds a line per row (W = 9).
+  for (std::uint32_t n : {1u, 2u, 3u, 4u, 8u, 9u, 64u}) {
+    for (std::uint32_t wl : {1u, 4u, 8u, 9u}) check_jp_layout(n, wl);
+  }
 
   std::printf("test_footprint: OK\n");
   return 0;
