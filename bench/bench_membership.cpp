@@ -7,7 +7,7 @@
 //           a first-try wait-free slot claim, nothing ever degrades.
 //   churn   2 x max(4, hardware threads) workers, capped at 16 (8 with
 //           --smoke), on 8 slots (4 with --smoke), with cooperative
-//           crashes: every A-th session abandon()s its slot mid-lease
+//           crashes: every A-th session abandon()s its slot between ops
 //           (the crash seam the fault-injection tests drive). The next
 //           join whose claim pass reaches an orphan adopts it; a reaper
 //           thread's reclaim_scan()s sweep the rest. Joins race retirements,
@@ -99,7 +99,7 @@ ChurnResult run_scenario(Managed& m, unsigned threads,
   const auto t1 = std::chrono::steady_clock::now();
   done.store(true, std::memory_order_release);
   reaper.join();
-  m.reclaim_scan();  // settle the last abandons
+  m.reclaim_scan();  // sweep the last abandons
 
   ChurnResult r;
   r.seconds = std::chrono::duration<double>(t1 - t0).count();

@@ -29,9 +29,11 @@
 // SC link intact (link_valid). Asking for help only after a cheap attempt
 // fails is the fast-path/slow-path method (Brown's thesis, PAPERS.md).
 //
-// Slow path. If the first attempt sees drift > P, LL bumps its seq,
-// announces (offering its exchange buffer) and runs the paper's announced
+// Slow path. If the first attempt sees drift > P, LL announces under its
+// seq (offering its exchange buffer) and runs the paper's announced
 // attempt: link, copy, aged validation again, then withdraw the announce.
+// The seq moves on as the LL finishes, so stale donations keyed to this
+// announce fail.
 //
 // Help path, pre-SC. If the announced attempt's validation fails (drift
 // >= P+1), at least P successful SCs linked X *after* p's announce — the
@@ -66,15 +68,13 @@
 // link broken: VL reports false and SC fails in O(1), which is
 // semantically exact — a successful SC intervened.
 //
-// Crash-stop reclamation (reclaim_pid, DESIGN.md §10). A process that died
-// at a step boundary (the fast attempt writes nothing shared, so only the
-// slow path and SC matter) may leave three obligations: a posted announce
-// (withdrawn), an unconsumed donation (adopted into its exchange side), and
-// a successful SC whose ring swap never ran (settled on its behalf).
-// Priv::announced marks the LL window in which the slot word, not xbuf,
-// names the exchange buffer; Priv::retire_tag marks the window between the
-// X SC and the ring swap, during which the retiree is provisionally the
-// writer's spare.
+// Crash-stop. A process that stops takes no further steps; survivors stay
+// within 4W+12 whatever it left behind, since helping a stopped process is
+// indistinguishable from helping a slow one. A pid is reissued only at an
+// op boundary (membership layer, DESIGN.md §10), where nothing is owed: the
+// slow LL has withdrawn or consumed its announce, and the SC has run its
+// ring swap. Priv::retire_tag marks the window between the X SC and the
+// ring swap, during which the retiree is provisionally the writer's spare.
 //
 // Memory ordering. Buffer words are relaxed atomics; both the reader copy
 // and the helper copy are validated seqlock-style (acquire fence before
@@ -171,14 +171,13 @@ class MwLLSC {
     std::uint32_t b;
     std::uint64_t t0;
     std::uint64_t drift = link_and_copy(p, out, &b, &t0);
-    bool reclaimed = false;
     if (drift > p2_) {
       // More than P SCs landed during the attempt: ask for help. Announce,
       // offering our exchange buffer to a prospective helper, then run the
-      // paper's announced attempt.
+      // paper's announced attempt. The word carries me.seq, which moves on
+      // only when this LL finishes: a non-IDLE word carrying me.seq is
+      // exactly the announce in flight.
       c.bump(c.ll_slow);
-      me.seq = (me.seq + 1) & kSeqMask;  // the announce word holds 44 bits
-      me.announced = true;
       // mwllsc-ordering: seq_cst(this store and the winners' pre-SC probes
       // of A[(T+1) mod P] share one total order, so a winner that misses
       // the announce must have linked before it — bounding drift at P tags)
@@ -198,12 +197,12 @@ class MwLLSC {
           const std::uint32_t d = buf_of_a(a);
           copy_out(d, out);
           me.xbuf = d;
-          me.announced = false;
           me.link_valid = false;  // a successful SC already intervened
           c.bump(c.ll_helped);
           c.bump(c.ll_used_helped_value);
           c.bump(c.ll_ops);
           trace_.emit<kTraced>(obs::EventKind::kLlRescue, p, me.seq, d);
+          me.seq = next_seq(me.seq);
           return;
         }
         // Unreachable if the help guarantee holds (tests assert this
@@ -219,32 +218,20 @@ class MwLLSC {
       if (!slot(p).compare_exchange_strong(
               expect, pack_a(kIdle, me.xbuf, me.seq),
               std::memory_order_seq_cst)) {
-        if (state_of_a(expect) == kHelped && seq_of_a(expect) == me.seq) {
-          // A donation raced in. The validated value stands; adopt the
-          // donated buffer as our new exchange buffer — the donor took the
-          // one we offered.
-          me.xbuf = buf_of_a(expect);
-          c.bump(c.ll_helped);
-          trace_.emit<kTraced>(obs::EventKind::kLlHelped, p, me.seq,
-                               buf_of_a(expect));
-        } else {
-          // The word no longer carries our seq: a crash-stop reclaim
-          // (reclaim_pid) judged this process dead and withdrew the
-          // announce out from under it. The value is still an untorn
-          // snapshot, but the slot — and the exchange buffer folded into
-          // its word — belong to the reclaimer now, so the only safe exit
-          // is to break the link and finish this op. Reached only when a
-          // reclaimed process is resurrected under test control; a
-          // genuinely dead process never gets here.
-          reclaimed = true;
-        }
+        // Only a donation to this announce moves the word. The validated
+        // value stands; adopt the donated buffer as our new exchange
+        // buffer — the donor took the one we offered.
+        assert(state_of_a(expect) == kHelped && seq_of_a(expect) == me.seq);
+        me.xbuf = buf_of_a(expect);
+        c.bump(c.ll_helped);
+        trace_.emit<kTraced>(obs::EventKind::kLlHelped, p, me.seq, me.xbuf);
       }
-      me.announced = false;
+      me.seq = next_seq(me.seq);
     }
     // The copy is an untorn snapshot of version t0, linearized at the link.
     me.ll_buf = b;
-    // Any drift already broke the link; so does a raced reclaim.
-    me.link_valid = drift == 0 && !reclaimed;
+    // Any drift already broke the link.
+    me.link_valid = drift == 0;
     c.bump(c.ll_ops);
     trace_.emit<kTraced>(obs::EventKind::kLlFast, p, t0, b);
   }
@@ -309,8 +296,8 @@ class MwLLSC {
     const std::uint64_t mytag = (t + 1) & llsc::kTagMask;
     trace_.emit<kTraced>(obs::EventKind::kScCommit, p, mytag);
     // The previously-current buffer is ours until the ring swap resolves:
-    // provisionally the spare, with the bank write marked pending so a
-    // reclaimer can finish it if we die before the swap.
+    // provisionally the spare, with the bank write marked pending (the I1
+    // census and I2 read it while a winner is stopped before its swap).
     me.spare = me.ll_buf;
     me.retire_tag = mytag;
     retire<kTraced>(p, me);
@@ -326,76 +313,24 @@ class MwLLSC {
     return x_.vl(p);  // O(1), independent of W
   }
 
-  /// Crash-stop slot reclamation (membership layer, DESIGN.md §10).
-  /// Settles every obligation a dead process left behind so its pid can
-  /// be reissued with the ownership census exact:
-  ///  - a successful SC whose ring swap never ran is retired now (I2: its
-  ///    one bank write still happens exactly once);
-  ///  - a posted WAITING announce is withdrawn, so winners stop donating
-  ///    into a slot nobody reads;
-  ///  - an unconsumed donation is adopted: the donor took the offered
-  ///    exchange buffer, so the donated one becomes the pid's xbuf.
-  /// The slot word is rewritten IDLE with the next seq, which fences it
-  /// against stale donation CASes keyed to the dead LL. The pid is
-  /// reissued only after rebind_pid. Returns true if an obligation was
-  /// actually settled.
-  ///
-  /// Precondition: p is certainly dead — it takes no further steps, and
-  /// its private state is the one it left at a step boundary (a shared
-  /// access together with the private bookkeeping that records its
-  /// result), published to the caller. The membership layer calls this
-  /// only for holders that abandon()ed, i.e. stopped at an op boundary;
-  /// the simulator crashes processes at step boundaries. A process that
-  /// could stop between its X SC and the bookkeeping after it is outside
-  /// this contract: once X moves on, whether that SC landed cannot be
-  /// read back from shared memory.
-  bool reclaim_pid(std::uint32_t p) {
-    assert(p < n_);
-    Priv& me = priv_[p];
-    const bool retiring = me.retire_tag != kNoRetire;
-    if (retiring) retire(p, me);
-    // mwllsc-ordering: seq_cst(the withdraw-by-proxy races a winner's
-    // donation CAS on this slot exactly like the owner's withdraw does;
-    // the single total order picks one side of the ownership exchange)
-    std::uint64_t a = slot(p).load(std::memory_order_seq_cst);
-    std::uint32_t xbuf;
-    for (;;) {
-      // Only a donation to the LL in flight is unconsumed; a HELPED word
-      // from an earlier LL is stale, and xbuf is authoritative then.
-      const bool donated = me.announced && state_of_a(a) == kHelped &&
-                           seq_of_a(a) == me.seq;
-      xbuf = donated ? buf_of_a(a) : me.xbuf;
-      const std::uint64_t next =
-          pack_a(kIdle, xbuf, (seq_of_a(a) + 1) & kSeqMask);
-      // mwllsc-ordering: seq_cst(same handshake as the load above: one
-      // winner between this withdraw-by-proxy and a racing donation)
-      if (slot(p).compare_exchange_weak(a, next, std::memory_order_seq_cst)) {
-        break;
-      }
-      // Lost to a donation landing on the dead WAITING word; the reloaded
-      // word is HELPED and the next lap adopts it (at most one extra lap:
-      // donations require WAITING, which the word never is again).
-    }
-    const bool announced = me.announced;
-    me.xbuf = xbuf;
-    me.seq = (seq_of_a(a) + 1) & kSeqMask;
-    me.announced = false;
-    me.link_valid = false;
-    trace_.emit(obs::EventKind::kProcCrashReclaim, p, seq_of_a(a));
-    return retiring || announced;
-  }
+  /// Alias of rebind_pid, kept for wrappers that forward it: an abandoned
+  /// pid stopped at an op boundary, so it owes nothing.
+  bool reclaim_pid(std::uint32_t p) { rebind_pid(p); return false; }
 
-  /// Reissues pid p to a new owner after reclaim_pid or a graceful
-  /// retirement. The private mirror is authoritative — xbuf is the
-  /// exchange buffer the previous owner actually held (the slot word can
-  /// still name one it donated away as a helper) — so the new owner only
-  /// starts with its link broken. Must not run concurrently with any
+  /// Reissues pid p to a new owner after its previous one retired or
+  /// abandoned it, both at an op boundary: no ring swap is pending and no
+  /// announce is in flight. The private mirror is authoritative — xbuf is
+  /// the exchange buffer the previous owner actually held (the slot word
+  /// can still name one it donated away as a helper) — so the new owner
+  /// only starts with its link broken. Must not run concurrently with any
   /// operation by a previous owner of p; the membership layer guarantees
-  /// this by only reissuing slots whose holder retired or was reclaimed.
+  /// this by only reissuing slots whose holder released or abandoned them.
   void rebind_pid(std::uint32_t p) {
     assert(p < n_);
-    assert(!priv_[p].announced && priv_[p].retire_tag == kNoRetire);
-    priv_[p].link_valid = false;
+    Priv& me = priv_[p];
+    assert(me.retire_tag == kNoRetire);
+    assert(!in_flight(slot(p).load(std::memory_order_relaxed), me.seq));
+    me.link_valid = false;
   }
 
   std::uint32_t words() const { return w_; }
@@ -441,6 +376,15 @@ class MwLLSC {
     return llsc::buf_of(a >> 2);
   }
   static std::uint64_t seq_of_a(std::uint64_t a) { return a >> 20; }
+  static std::uint64_t next_seq(std::uint64_t seq) {
+    return (seq + 1) & kSeqMask;  // the announce word holds 44 bits
+  }
+  /// Whether announce word a is the announce of an LL still in flight: the
+  /// owner's seq moves on when its slow LL finishes, so only that LL
+  /// leaves a non-IDLE word carrying the owner's current seq.
+  static bool in_flight(std::uint64_t a, std::uint64_t seq) {
+    return state_of_a(a) != kIdle && seq_of_a(a) == seq;
+  }
 
   static std::uint32_t next_pow2(std::uint32_t v) {
     std::uint32_t p = 1;
@@ -461,7 +405,7 @@ class MwLLSC {
 
   static constexpr std::uint64_t kNoRetire = ~std::uint64_t{0};
 
-  // Touched only by the owning process (and by reclaim_pid once it died).
+  // Touched only by the owning process.
   struct alignas(64) Priv {
     std::uint32_t spare = 0;
     std::uint32_t xbuf = 0;
@@ -469,7 +413,6 @@ class MwLLSC {
     std::uint64_t seq = 0;
     std::uint64_t retire_tag = kNoRetire;  ///< pending bank write's tag
     bool link_valid = false;
-    bool announced = false;  ///< in LL: the slot word names the exchange side
   };
 
   Atomic<std::uint64_t>* buf_row(std::uint32_t b) const {
@@ -519,9 +462,8 @@ class MwLLSC {
 
   /// The bank write: retires me.ll_buf through the aged ring cell of
   /// me.retire_tag (I2: exactly one resolution per successful SC), taking
-  /// the cell's aged buffer as the new spare. Run by the SC's winner, or
-  /// by reclaim_pid for a winner that died before its swap.
-  template <bool kTraced = true>
+  /// the cell's aged buffer as the new spare. Run by the SC's winner.
+  template <bool kTraced>
   void retire(std::uint32_t p, Priv& me) {
     const std::uint32_t retired = me.ll_buf;
     const std::uint64_t mytag = me.retire_tag;
@@ -566,12 +508,10 @@ class MwLLSC {
   LLSC x_;
   std::unique_ptr<Line[]> rows_;  ///< 2N+R+1 rows; none shares a line
   // The R ring words share ceil(R/8) lines. Packing them costs little:
-  // only SC winners write them (or reclaim_pid for one), one resolution
-  // per tag.
+  // only SC winners write them, one resolution per tag.
   std::unique_ptr<Line[]> ring_;  ///< X's format: buf(18) | tag(46)
   // The N announce words share ceil(N/8) lines. Only slow-path LLs, their
-  // withdraws and donations write them (or reclaim_pid's proxy withdraw);
-  // fast-path LLs never do.
+  // withdraws and donations write them; fast-path LLs never do.
   std::unique_ptr<Line[]> announce_;
   std::unique_ptr<Priv[]> priv_;
   util::OpStatsArray stats_;

@@ -5,13 +5,12 @@
 // (the claim CAS) and one to retire (the release CAS); the lifecycle
 // counters live in the slot's own line and are written only by its holder.
 //
-// The managed object owns the crash-reclaim policy: only holders that
-// abandon()ed are dead, and a holder that is merely quiet is never
-// condemned, because reclaim_pid rewrites the pid's private state. An
-// orphan is recycled by the first join whose claim pass reaches it (it
-// settles the dead pid's announce-slot help obligations with core
-// reclaim_pid, then takes the pid) or by reclaim_scan(); either way the
-// survivors' 4W+12 step bound is unaffected by the corpse.
+// The managed object owns the crash policy: only holders that abandon()
+// are dead, and they abandon at an op boundary, where the pid owes nothing
+// (core rebind_pid). A holder that is merely quiet is never condemned. An
+// orphan is recycled by the first join whose claim pass reaches it, or by
+// reclaim_scan(); either way the survivors' 4W+12 step bound is unaffected
+// by the corpse.
 //
 // Graceful degradation: when every slot is held, join() runs a bounded
 // number of further claim passes and then falls over to a *degraded*
@@ -45,7 +44,7 @@ struct MembershipSnapshot {
   std::uint64_t degraded_joins = 0;  ///< joins that fell over to the lock
   std::uint64_t join_retries = 0;    ///< claim passes after a full one failed
   std::uint64_t retires = 0;         ///< clean releases (incl. degraded)
-  std::uint64_t crash_reclaims = 0;  ///< dead holders' pids settled
+  std::uint64_t crash_reclaims = 0;  ///< sessions abandoned (crashes)
   std::uint64_t scans = 0;           ///< reclaim_scan() sweeps run
   std::uint32_t active = 0;          ///< slots currently held (approximate)
   std::uint32_t capacity = 0;        ///< slot pool size
@@ -60,7 +59,8 @@ class ManagedMwLLSC {
  public:
   /// RAII pid lease. Move-only; destruction retires. ll/sc/vl mirror the
   /// protocol's contract. abandon() is the crash-stop seam: the session
-  /// walks away without cleanup and the slot waits for reclaim_scan().
+  /// walks away without cleanup and the slot waits for an adopting join()
+  /// or reclaim_scan().
   class Session {
    public:
     Session() = default;
@@ -144,11 +144,13 @@ class ManagedMwLLSC {
       return slot_.release();  // counts the retire, then the release CAS
     }
 
-    /// Crash-stop seam: walk away mid-whatever. A wait-free session's slot
-    /// goes ORPHANED for the next joiner or reclaim_scan(); a degraded
-    /// session releases the lock (a *real* crash inside the degraded window
-    /// would wedge the degraded path — that is the documented cost of
-    /// degradation, and simulating it would just deadlock the test).
+    /// Crash-stop seam: walk away at an op boundary. A wait-free session
+    /// counts the crash and emits proc_crash_reclaim while the pid is still
+    /// its own, then its slot goes ORPHANED for the next joiner or
+    /// reclaim_scan(); a degraded session releases the lock (a *real* crash
+    /// inside the degraded window would wedge the degraded path — that is
+    /// the documented cost of degradation, and simulating it would just
+    /// deadlock the test).
     void abandon() MWLLSC_NO_TSA {
       if (!parent_) return;
       ManagedMwLLSC* p = parent_;
@@ -160,7 +162,9 @@ class ManagedMwLLSC {
         }
         return;
       }
-      slot_.abandon();
+      p->trace_.emit(obs::EventKind::kProcCrashReclaim, slot_.id(),
+                     slot_.generation());
+      slot_.abandon();  // counts the crash, then the abandon CAS
     }
 
    private:
@@ -186,15 +190,15 @@ class ManagedMwLLSC {
   }
 
   /// Acquires a session. Wait-free while a slot is FREE or ORPHANED (one
-  /// claim pass, which adopts an orphan after settling its pid). Under
+  /// claim pass, which adopts an orphan in one CAS). Under
   /// exhaustion: up to `join_retries` more passes, then the degraded
   /// lock-serialized session. Never fails, never blocks.
   Session join() {
     for (std::uint32_t attempt = 0;; ++attempt) {
-      const std::uint32_t s = reg_.try_acquire(settle());
+      const std::uint32_t s = reg_.try_acquire();
       if (s != SlotRegistry::kNone) {
-        // Sync the pid's private protocol state with however the previous
-        // incarnation left the announce word (retired or reclaimed).
+        // The previous holder retired or abandoned at an op boundary: the
+        // new one only starts with its link broken.
         impl_.rebind_pid(s);
         trace_.emit(obs::EventKind::kProcJoin, s, reg_.generation(s), 0);
         return Session(this, ProcessSlot(&reg_, s));
@@ -212,13 +216,12 @@ class ManagedMwLLSC {
     return Session(this);
   }
 
-  /// Lock-free sweep that recycles every ORPHANED slot no joiner has
-  /// adopted, settling each dead pid (core reclaim_pid) before the slot can
-  /// be claimed again. ACTIVE slots are never touched. Safe to call at any
-  /// time and from any thread.
+  /// Lock-free sweep that frees every ORPHANED slot no joiner has
+  /// adopted. ACTIVE slots are never touched. Safe to call at any time and
+  /// from any thread.
   std::uint32_t reclaim_scan() {
     c_.scans.fetch_add(1, std::memory_order_relaxed);
-    return reg_.scan(settle());
+    return reg_.scan();
   }
 
   std::uint32_t words() const { return impl_.words(); }
@@ -289,15 +292,6 @@ class ManagedMwLLSC {
   SlotRegistry& registry() { return reg_; }
 
  private:
-  /// Cleanup for a dead holder's pid, run by whoever wins its slot's
-  /// RECLAIMING CAS. Safe to touch pid s there: the holder abandon()ed (its
-  /// acq_rel CAS publishes every private write of its last op to the
-  /// reclaimer's acq_rel CAS) and nobody else can take the slot until the
-  /// reclaimer hands it on, so the pid stays single-writer.
-  auto settle() {
-    return [this](std::uint32_t s) { impl_.reclaim_pid(s); };
-  }
-
   /// Counters off the lease path (the per-slot ones live in the registry),
   /// one line so the hot protocol state never false-shares with them. The
   /// degraded pair is written under degraded_mu_.

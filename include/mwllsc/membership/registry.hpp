@@ -6,33 +6,28 @@
 //
 // Each slot is one cache line: a generation-tagged word — state(2) |
 // generation(62) — and the slot's lifecycle counters. The lifecycle is a
-// four-state machine, every transition bumping the generation so a slot
+// three-state machine, every transition bumping the generation so a slot
 // handle from one incarnation can never act on a later one:
 //
 //     FREE --claim--> ACTIVE --release--> FREE
-//                       \--abandon--> ORPHANED --reclaim--> RECLAIMING
-//     RECLAIMING --sweep--> FREE,  or  --adopt--> ACTIVE (the joiner's)
+//                       \--abandon--> ORPHANED --sweep--> FREE
+//                                         \--adopt--> ACTIVE (the joiner's)
 //
 // Claiming is one pass of at most `capacity` CASes (wait-free) that takes
 // the first FREE or ORPHANED slot. The pass starts at the calling thread's
 // own index, fixed for its lifetime, so a thread that leases again finds
 // its previous slot first and the pid's private lines stay on its core.
-// Release is one CAS. Neither touches any other shared line.
+// Release and abandon are one CAS each. None touches any other shared line.
 //
 // abandon() is the only death verdict: the holder itself marks its slot
-// ORPHANED and takes no further steps. No holder is ever presumed dead, so
-// cleanup may rewrite a dead pid's private state. Reclamation is two-phase:
-// the ORPHANED -> RECLAIMING CAS has exactly one winner, which runs the
-// caller's cleanup — settling the dead process's announce-slot help
-// obligations (core reclaim_pid) so survivors' 4W+12 bound holds — and only
-// then hands the slot on: to the joiner that adopted it in its claim pass,
-// or back to FREE after a scan().
+// ORPHANED at an op boundary and takes no further steps. It owes nothing
+// then (core rebind_pid), so adopting or sweeping an orphan is one CAS with
+// no cleanup, and the survivors' 4W+12 bound never depended on it.
 //
 // Counters: each slot's joins, retires and crash_reclaims are written only
 // by the slot's current holder (the claimer, the holder before its release
-// CAS, the reclaimer in RECLAIMING) with a relaxed load + store; the acq_rel
-// slot CASes order one holder's writes before the next one's. counts()
-// sums them.
+// or abandon CAS) with a relaxed load + store; the acq_rel slot CASes
+// order one holder's writes before the next one's. counts() sums them.
 #pragma once
 
 #include <atomic>
@@ -54,7 +49,7 @@ inline void bump(std::atomic<std::uint64_t>& c) {
 struct SlotCounts {
   std::uint64_t joins = 0;           ///< claims (FREE or adopted ORPHANED)
   std::uint64_t retires = 0;         ///< clean releases
-  std::uint64_t crash_reclaims = 0;  ///< orphans reclaimed (adopted or swept)
+  std::uint64_t crash_reclaims = 0;  ///< abandons (each orphan counted once)
 };
 
 class SlotRegistry {
@@ -64,7 +59,6 @@ class SlotRegistry {
   static constexpr std::uint64_t kFree = 0;
   static constexpr std::uint64_t kActive = 1;
   static constexpr std::uint64_t kOrphaned = 2;
-  static constexpr std::uint64_t kReclaiming = 3;
 
   explicit SlotRegistry(std::uint32_t capacity)
       : cap_(capacity), slots_(new Slot[capacity]) {
@@ -76,31 +70,21 @@ class SlotRegistry {
   /// Shared bytes the slot array occupies (for footprint accounting).
   std::size_t slot_bytes() const { return cap_ * sizeof(Slot); }
 
-  /// One pass of claim attempts from this thread's start index. Takes the
-  /// first FREE slot, or adopts the first ORPHANED one: `on_dead(slot)`
-  /// runs while the slot is RECLAIMING, before it turns ACTIVE for the
-  /// caller. Returns the slot id or kNone — at most `capacity` CASes plus
-  /// one cleanup, no retry loop per slot (a lost race just moves on; the
-  /// caller owns the retry policy).
-  template <class OnDead>
-  std::uint32_t try_acquire(OnDead&& on_dead) {
+  /// One pass of claim attempts from this thread's start index: takes the
+  /// first FREE slot, or adopts the first ORPHANED one. Returns the slot id
+  /// or kNone — at most `capacity` CASes, no retry loop per slot (a lost
+  /// race just moves on; the caller owns the retry policy).
+  std::uint32_t try_acquire() {
     std::uint32_t s = thread_ordinal() % cap_;
     for (std::uint32_t i = 0; i < cap_; ++i, s = s + 1 == cap_ ? 0 : s + 1) {
       Slot& slot = slots_[s];
       std::uint64_t w = slot.word.load(std::memory_order_relaxed);
-      if (state_of(w) == kFree) {
-        // Acquire pairs with the release or sweep that freed the slot: the
-        // new holder sees the previous incarnation's writes and cleanup.
-        if (!slot.word.compare_exchange_strong(
-                w, pack(kActive, gen_of(w) + 1), std::memory_order_acq_rel,
-                std::memory_order_relaxed)) {
-          continue;
-        }
-      } else if (state_of(w) == kOrphaned && reclaim(s, w, on_dead)) {
-        // RECLAIMING is ours alone; our own release CAS later publishes.
-        slot.word.store(pack(kActive, gen_of(w) + 2),
-                        std::memory_order_relaxed);
-      } else {
+      // Acquire pairs with the release, abandon or sweep that left the slot
+      // claimable: the new holder sees the previous incarnation's writes.
+      if ((state_of(w) != kFree && state_of(w) != kOrphaned) ||
+          !slot.word.compare_exchange_strong(
+              w, pack(kActive, gen_of(w) + 1), std::memory_order_acq_rel,
+              std::memory_order_relaxed)) {
         continue;
       }
       bump(slot.joins);
@@ -123,14 +107,18 @@ class SlotRegistry {
                                              std::memory_order_relaxed);
   }
 
-  /// Cooperative crash simulation: the holder walks away without cleaning
-  /// up, leaving the slot for an adopting joiner or scan(). Returns false if
-  /// `gen` is not the slot's current ACTIVE incarnation.
+  /// Cooperative crash simulation: the holder walks away at an op
+  /// boundary without cleaning up, leaving the slot for an adopting joiner
+  /// or scan(). Returns false, counting nothing, if `gen` is not the slot's
+  /// current ACTIVE incarnation (a second abandon, or one after a release).
   bool abandon(std::uint32_t s, std::uint64_t gen) {
+    Slot& slot = slots_[s];
     std::uint64_t w = pack(kActive, gen);
-    return slots_[s].word.compare_exchange_strong(
-        w, pack(kOrphaned, gen + 1), std::memory_order_acq_rel,
-        std::memory_order_relaxed);
+    if (slot.word.load(std::memory_order_relaxed) != w) return false;
+    bump(slot.crash_reclaims);  // still ours: count before the CAS
+    return slot.word.compare_exchange_strong(w, pack(kOrphaned, gen + 1),
+                                             std::memory_order_acq_rel,
+                                             std::memory_order_relaxed);
   }
 
   std::uint64_t generation(std::uint32_t s) const {
@@ -166,22 +154,22 @@ class SlotRegistry {
     return c;
   }
 
-  /// Lock-free sweep: reclaims every ORPHANED slot that no joiner adopts
-  /// first. `on_dead(slot)` runs strictly between the RECLAIMING transition
-  /// and the FREE one, so cleanup is complete before any new holder can
-  /// claim the slot. Returns slots reclaimed.
-  template <class OnDead>
-  std::uint32_t scan(OnDead&& on_dead) {
-    std::uint32_t reclaimed = 0;
+  /// Lock-free sweep: frees every ORPHANED slot that no joiner adopts
+  /// first, one CAS each. Returns slots freed.
+  std::uint32_t scan() {
+    std::uint32_t freed = 0;
     for (std::uint32_t s = 0; s < cap_; ++s) {
-      const std::uint64_t w = slots_[s].word.load(std::memory_order_relaxed);
-      if (state_of(w) != kOrphaned || !reclaim(s, w, on_dead)) continue;
-      // Release publishes the cleanup to the next claimant's acquire CAS.
-      slots_[s].word.store(pack(kFree, gen_of(w) + 2),
-                           std::memory_order_release);
-      ++reclaimed;
+      std::uint64_t w = slots_[s].word.load(std::memory_order_relaxed);
+      // Acq_rel: one sweeper wins, and it passes the dead holder's writes
+      // on to the next claimant's acquire CAS.
+      if (state_of(w) == kOrphaned &&
+          slots_[s].word.compare_exchange_strong(
+              w, pack(kFree, gen_of(w) + 1), std::memory_order_acq_rel,
+              std::memory_order_relaxed)) {
+        ++freed;
+      }
     }
-    return reclaimed;
+    return freed;
   }
 
  private:
@@ -200,21 +188,6 @@ class SlotRegistry {
     thread_local const std::uint32_t ordinal =
         next.fetch_add(1, std::memory_order_relaxed);
     return ordinal;
-  }
-
-  /// ORPHANED -> RECLAIMING, then cleanup. Acq_rel: exactly one reclaimer
-  /// wins, and it observes everything the dead holder published with its
-  /// abandon CAS, so the dead pid stays single-writer.
-  template <class OnDead>
-  bool reclaim(std::uint32_t s, std::uint64_t w, OnDead& on_dead) {
-    if (!slots_[s].word.compare_exchange_strong(
-            w, pack(kReclaiming, gen_of(w) + 1), std::memory_order_acq_rel,
-            std::memory_order_relaxed)) {
-      return false;
-    }
-    on_dead(s);
-    bump(slots_[s].crash_reclaims);
-    return true;
   }
 
   struct alignas(64) Slot {

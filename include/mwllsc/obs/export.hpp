@@ -21,12 +21,12 @@
 //   bank write per successful SC (invariant I2) for every variable that
 //   emits bank writes, and the <= 3 LL/SC rounds bound of the apps-layer
 //   help-all construction. Membership lifecycle events are cross-checked
-//   too: pid leases must not overlap (join while live), retire must not
-//   leave an LL window open, and a retired/reclaimed pid must not emit
-//   protocol events until its next join — traces from before the
-//   lifecycle layer carry no such events and are checked exactly as
-//   before. Ring truncation is tolerated as a missing *prefix* (orphan
-//   closes/bank-writes are skipped while dropped > 0).
+//   too: pid leases must not overlap (join while live), neither retire nor
+//   crash reclaim may leave an LL window open, and a retired or abandoned
+//   pid must not emit protocol events until its next join — traces from
+//   before the lifecycle layer carry no such events and are checked
+//   exactly as before. Ring truncation is tolerated as a missing *prefix*
+//   (orphan closes/bank-writes are skipped while dropped > 0).
 //
 // * write_prometheus / write_metrics_json — text + JSON export of a
 //   MetricsRegistry.
@@ -114,6 +114,18 @@ inline TraceCheckResult check_trace(const TraceData& d) {
     enum class Live { kUnknown, kLive, kDead };
     Live live = Live::kUnknown;
     bool dead_use_reported = false;
+    // A holder retires or abandons only at an op boundary.
+    auto check_no_open_ll = [&](const char* what) {
+      if (trunc) return;
+      for (const auto& [var, v2] : vs) {
+        if (v2.in_ll) {
+          std::snprintf(msg, sizeof(msg),
+                        "pid %zu var %u: %s with an open LL window", pid,
+                        var, what);
+          r.violations.push_back(msg);
+        }
+      }
+    };
 
     for (const TraceEvent& e : d.per_pid[pid]) {
       const auto k = static_cast<EventKind>(e.kind);
@@ -145,27 +157,17 @@ inline TraceCheckResult check_trace(const TraceData& d) {
                           pid);
             r.violations.push_back(msg);
           }
-          if (!trunc) {
-            for (const auto& [var, v2] : vs) {
-              if (v2.in_ll) {
-                std::snprintf(msg, sizeof(msg),
-                              "pid %zu var %u: retired with an open LL "
-                              "window",
-                              pid, var);
-                r.violations.push_back(msg);
-              }
-            }
-          }
+          check_no_open_ll("retired");
           live = Live::kDead;
         }
         vs.clear();
         continue;
       }
       if (k == EventKind::kProcCrashReclaim) {
-        // Emitted by the reclaimer into the dead pid's stream (the slot
-        // word hand-off keeps the stream single-writer). The reclaimer
-        // settled every help obligation, so the pid starts over clean.
+        // Emitted by the abandoning holder into its own stream, before its
+        // abandon CAS: the pid owes nothing, so it starts over clean.
         ++r.crash_reclaims;
+        check_no_open_ll("abandoned");
         live = Live::kDead;
         vs.clear();
         continue;

@@ -41,7 +41,7 @@ namespace mwllsc::obs {
 /// mapping); announce/help_all/apply_commit are the apps-layer help-all
 /// universal construction.
 enum class EventKind : std::uint16_t {
-  kLlStart = 0,     ///< LL entered                      (tag = prior seq)
+  kLlStart = 0,     ///< LL entered                      (tag = own seq)
   kLlFast,          ///< LL returned its own copy        (tag = linked tag)
   kLlHelped,        ///< donation raced a withdraw       (tag = announce seq)
   kLlRescue,        ///< LL returned the donated value   (tag = announce seq)
@@ -58,7 +58,7 @@ enum class EventKind : std::uint16_t {
   kApplyCommit,     ///< apps: apply finished            (arg = attempts)
   kProcJoin,        ///< membership: pid slot acquired   (arg = 1 if degraded)
   kProcRetire,      ///< membership: pid slot released   (tag = slot generation)
-  kProcCrashReclaim,///< membership: dead pid reclaimed  (tag = announce seq)
+  kProcCrashReclaim,///< membership: session abandoned   (tag = slot generation)
   kCount,
 };
 

@@ -28,17 +28,21 @@
 //                           is stateless: each branch rebuilds its state by
 //                           replaying the schedule prefix on a fresh object;
 //   * run_crash_churn       seeded-random scheduling with periodic
-//                           crash(pid) injection and delayed reclamation —
-//                           the membership layer's churn, in the simulator;
+//                           crash(pid) injection at op boundaries and
+//                           delayed reclamation — the membership layer's
+//                           churn, in the simulator;
 //   * run_replay            re-executes a recorded schedule token-for-token
 //                           (every invariant-violation message embeds its
 //                           scheduler seed and exact schedule prefix, so
 //                           failures reproduce with --seed/--replay).
 //
-// Crash-stop is modeled by never resuming a process; reclaim(pid) runs the
-// object's own reclaim_pid + rebind_pid and starts a fresh incarnation that
-// restarts the interrupted op, and rebind(pid) is a graceful retirement at
-// an op boundary followed by rebind_pid.
+// Crash-stop is modeled by never resuming a process, at any step. A pid
+// frozen at an op boundary is an abandoned session: reclaim(pid) reissues
+// it through the object's own rebind_pid to a fresh incarnation that
+// continues the script. rebind(pid) is a graceful retirement at an op
+// boundary followed by rebind_pid. A pid frozen inside an op stays frozen:
+// recovering it would need a recoverable CAS, which the object does not
+// model.
 #pragma once
 
 #include <cassert>
@@ -61,18 +65,17 @@ namespace mwllsc::sim {
 
 namespace detail {
 
-/// Whether the object models crash-stop recovery (reclaim_pid/rebind_pid);
-/// runners compile their crash arms out for objects that don't.
+/// Whether the object can reissue a pid (rebind_pid); runners compile their
+/// crash arms out for objects that can't.
 template <class O, class = void>
 struct SupportsCrash : std::false_type {};
 template <class O>
 struct SupportsCrash<
-    O, std::void_t<decltype(std::declval<O&>().reclaim_pid(0u)),
-                   decltype(std::declval<O&>().rebind_pid(0u))>>
+    O, std::void_t<decltype(std::declval<O&>().rebind_pid(0u))>>
     : std::true_type {};
 
 /// Thrown from a parked process's pending access to unwind its fiber when
-/// the process is discarded (reclaimed after a crash, or torn down).
+/// the process is discarded (its pid reissued after a crash, or torn down).
 struct Unwind {};
 
 }  // namespace detail
@@ -158,9 +161,10 @@ class SimWorkload {
   /// The abstract version: X's sequence tag.
   std::uint64_t version() const { return Inspector<Object>::version(obj_); }
 
-  /// A crashed process takes no steps until reclaimed, so it counts as
-  /// done for scheduling purposes (done() means "no runnable work", not
-  /// "every script finished" — a crash-stop may strand a script forever).
+  /// A crashed process takes no steps until its pid is reissued, so it
+  /// counts as done for scheduling purposes (done() means "no runnable
+  /// work", not "every script finished" — a crash-stop may strand a script
+  /// forever).
   bool proc_done(std::uint32_t p) const {
     return procs_[p]->crashed || script_done(p);
   }
@@ -210,9 +214,9 @@ class SimWorkload {
   }
 
   /// Crash-stop: p freezes before its next access and never steps again
-  /// (until reclaimed). The private code after its last access has run, so
-  /// a crash lands on a step boundary — the model reclaim_pid's contract
-  /// states. Re-runs the invariant checks at the crash point.
+  /// (until reclaim() reissues its pid at an op boundary). The private
+  /// code after its last access has run, so a crash lands on a step
+  /// boundary. Re-runs the invariant checks at the crash point.
   template <class Checker>
   void crash(std::uint32_t p, Checker& chk) {
     static_assert(kSupportsCrash, "this object does not model crash-stop");
@@ -223,17 +227,15 @@ class SimWorkload {
     chk.on_step(*this);
   }
 
-  /// Recycles a crashed process's pid through the object's own
-  /// reclaim_pid + rebind_pid, then starts a fresh incarnation that reruns
-  /// the interrupted op from scratch. Re-runs the invariant checks —
-  /// reclamation must leave the exact buffer-ownership census.
+  /// Recycles the pid of a process frozen at an op boundary (an abandoned
+  /// session) through the object's own rebind_pid, then starts a fresh
+  /// incarnation that continues the script. Re-runs the invariant checks.
   template <class Checker>
   void reclaim(std::uint32_t p, Checker& chk) {
     static_assert(kSupportsCrash, "this object does not model crash-stop");
-    assert(procs_[p]->crashed);
+    assert(procs_[p]->crashed && at_boundary(p));
     sched_.push_back((p << 2) | kReclaim);
     procs_[p]->discard();
-    obj_.reclaim_pid(p);
     obj_.rebind_pid(p);
     procs_[p]->crashed = false;
     ++reclaims_;
@@ -321,6 +323,7 @@ class SimWorkload {
           return nullptr;
         case kReclaim:
           if (!crashed(p)) return "reclaim of a live pid";
+          if (!at_boundary(p)) return "reclaim of a pid frozen inside an op";
           reclaim(p, chk);
           return nullptr;
         case kRebind:
@@ -567,13 +570,13 @@ RunResult run_random(SimWorkload<Object>& wl, Checker& chk,
 
 /// Churn scheduling for the crash-stop adversary: seeded-random stepping
 /// with a crash injected every ~crash_period steps (never the last live
-/// process) and each dead slot reclaimed reclaim_delay steps later, so
-/// survivors keep running against frozen announces, orphaned donations and
-/// in-flight retirements, then against the recycled slots.
+/// process) into a process at an op boundary, as a session abandons, and
+/// each dead pid reissued reclaim_delay steps later, so survivors keep
+/// running against the frozen pid, then against the recycled one.
 struct ChurnConfig {
   std::uint64_t sched_seed = 1;
   std::uint32_t crash_period = 53;   ///< steps between crash injections
-  std::uint32_t reclaim_delay = 23;  ///< steps a dead slot stays unreclaimed
+  std::uint32_t reclaim_delay = 23;  ///< steps a dead pid waits for reclaim
   std::uint32_t max_concurrent_crashes = 1;
 };
 
@@ -581,12 +584,13 @@ template <class Object, class Checker>
 RunResult run_crash_churn(SimWorkload<Object>& wl, Checker& chk,
                           ChurnConfig cfg) {
   static_assert(SimWorkload<Object>::kSupportsCrash,
-                "crash churn needs an object with reclaim_pid/rebind_pid");
+                "crash churn needs an object with rebind_pid");
   util::Xoshiro256 rng(cfg.sched_seed ? cfg.sched_seed : 1);
   RunResult res;
   const std::string how = "churn-seed=" + std::to_string(cfg.sched_seed);
   std::vector<std::pair<std::uint32_t, std::uint64_t>> dead;  // pid, at step
   std::vector<std::uint32_t> runnable;
+  std::vector<std::uint32_t> at_boundary;  // runnable between two ops
   std::uint64_t next_crash = cfg.crash_period;
   for (;;) {
     // Reclaim dead slots whose grace period expired.
@@ -613,10 +617,14 @@ RunResult run_crash_churn(SimWorkload<Object>& wl, Checker& chk,
       if (!wl.proc_done(p)) runnable.push_back(p);
     }
     if (runnable.empty()) continue;  // everyone crashed; loop reclaims
+    at_boundary.clear();
+    for (const std::uint32_t p : runnable) {
+      if (wl.at_boundary(p)) at_boundary.push_back(p);
+    }
     if (wl.total_steps() >= next_crash && runnable.size() > 1 &&
-        dead.size() < cfg.max_concurrent_crashes) {
-      const std::uint32_t v = runnable[rng.next_below(
-          static_cast<std::uint32_t>(runnable.size()))];
+        !at_boundary.empty() && dead.size() < cfg.max_concurrent_crashes) {
+      const std::uint32_t v = at_boundary[rng.next_below(
+          static_cast<std::uint32_t>(at_boundary.size()))];
       wl.crash(v, chk);
       dead.emplace_back(v, wl.total_steps());
       next_crash = wl.total_steps() + cfg.crash_period;

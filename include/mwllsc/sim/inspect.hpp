@@ -94,18 +94,14 @@ struct Inspector<Jp> {
   static std::uint32_t spare_of(const Jp& o, std::uint32_t p) {
     return o.priv_[p].spare;
   }
-  /// The buffer p owns through its exchange side: inside an LL whose
-  /// announce is posted, the slot word names it (a donation may have
-  /// replaced the offered buffer); otherwise Priv::xbuf does, and a stale
-  /// word may name a buffer p has since donated away as a helper.
+  /// The buffer p owns through its exchange side: while p's announce is
+  /// in flight its slot word names it (a donation may have replaced the
+  /// offered buffer); otherwise Priv::xbuf does, and a stale HELPED word
+  /// may name a buffer p has since donated away as a helper.
   static std::uint32_t exchange_buf_of(const Jp& o, std::uint32_t p) {
-    const auto& me = o.priv_[p];
     const std::uint64_t a = o.slot(p).peek();
-    if (me.announced && Jp::seq_of_a(a) == me.seq &&
-        Jp::state_of_a(a) != Jp::kIdle) {
-      return Jp::buf_of_a(a);
-    }
-    return me.xbuf;
+    return Jp::in_flight(a, o.priv_[p].seq) ? Jp::buf_of_a(a)
+                                            : o.priv_[p].xbuf;
   }
   /// p is between its X SC and its ring swap (a bank write is owed).
   static bool retire_pending(const Jp& o, std::uint32_t p) {
@@ -113,15 +109,18 @@ struct Inspector<Jp> {
   }
   /// p's current LL has posted its announce and no donation replaced it.
   static bool announce_posted(const Jp& o, std::uint32_t p) {
-    const std::uint64_t a = o.slot(p).peek();
-    return o.priv_[p].announced && Jp::state_of_a(a) == Jp::kWaiting &&
-           Jp::seq_of_a(a) == o.priv_[p].seq;
+    return in_flight_state(o, p) == Jp::kWaiting;
   }
   /// A donation to p's current LL sits in its slot.
   static bool donation_posted(const Jp& o, std::uint32_t p) {
+    return in_flight_state(o, p) == Jp::kHelped;
+  }
+
+ private:
+  /// The state of p's in-flight announce word, or IDLE if none is.
+  static std::uint64_t in_flight_state(const Jp& o, std::uint32_t p) {
     const std::uint64_t a = o.slot(p).peek();
-    return o.priv_[p].announced && Jp::state_of_a(a) == Jp::kHelped &&
-           Jp::seq_of_a(a) == o.priv_[p].seq;
+    return Jp::in_flight(a, o.priv_[p].seq) ? Jp::state_of_a(a) : Jp::kIdle;
   }
 };
 

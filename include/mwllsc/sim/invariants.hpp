@@ -31,11 +31,10 @@
 //
 // Crash-stop schedules need no weakening of any check: a frozen process
 // must leave the census and the bank-write equation exact (its buffers stay
-// owned, its in-flight retirement stays pending), reclamation must restore
-// them, and the bound and the oracle keep applying to every op the *live*
-// processes complete — which is precisely the wait-freedom claim under
-// crashes: nobody who keeps taking steps is ever blocked by one that
-// stopped.
+// owned, its in-flight retirement stays pending), and the bound and the
+// oracle keep applying to every op the *live* processes complete — which
+// is precisely the wait-freedom claim under crashes: nobody who keeps
+// taking steps is ever blocked by one that stopped.
 #pragma once
 
 #include <cstdint>

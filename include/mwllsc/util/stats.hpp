@@ -65,8 +65,8 @@ namespace mwllsc::util {
 /// see slightly stale counts, never torn ones. A pid changes hands only
 /// through a happens-before edge that orders the old writer's last store
 /// before the new writer's first load: the membership layer's acq_rel slot
-/// CASes (join after retire/abandon, and reclaim_pid after abandon), the
-/// degraded path's mutex, or a thread join.
+/// CASes (a join after a retire or an abandon), the degraded path's mutex,
+/// or a thread join.
 struct alignas(64) OpStatsCell {
   std::atomic<std::uint64_t> ll_ops{0};
   std::atomic<std::uint64_t> sc_ops{0};

@@ -31,20 +31,17 @@ using Managed = ManagedMwLLSC<Jp>;
 
 // ---------------------------------------------------------- slot registry
 
-// Cleanup for registry-only tests, whose slots carry no protocol state.
-constexpr auto kNoCleanup = [](std::uint32_t) {};
-
 void registry_state_machine() {
   SlotRegistry reg(2);
   CHECK_EQ(reg.capacity(), 2u);
   CHECK_EQ(reg.active(), 0u);
 
-  const std::uint32_t a = reg.try_acquire(kNoCleanup);
-  const std::uint32_t b = reg.try_acquire(kNoCleanup);
+  const std::uint32_t a = reg.try_acquire();
+  const std::uint32_t b = reg.try_acquire();
   CHECK(a != SlotRegistry::kNone && b != SlotRegistry::kNone && a != b);
   CHECK_EQ(reg.active(), 2u);
   // Exhausted: the pass is bounded and fails.
-  CHECK_EQ(reg.try_acquire(kNoCleanup), SlotRegistry::kNone);
+  CHECK_EQ(reg.try_acquire(), SlotRegistry::kNone);
 
   // Clean release: CAS on the claimed generation; a second release of the
   // same incarnation must fail (the generation moved on).
@@ -54,41 +51,42 @@ void registry_state_machine() {
   CHECK_EQ(reg.active(), 1u);
 
   // Re-claim bumps the generation past the released one.
-  const std::uint32_t a2 = reg.try_acquire(kNoCleanup);
+  const std::uint32_t a2 = reg.try_acquire();
   CHECK(a2 != SlotRegistry::kNone);
   CHECK(reg.generation(a2) > gen_a);
 
-  // Cooperative crash: ORPHANED until a scan recycles it; on_dead runs for
-  // exactly that slot, and ACTIVE slots are never touched.
+  // Cooperative crash: ORPHANED until a scan frees it, and ACTIVE slots
+  // are never touched. The abandon counts the crash; a second abandon of
+  // the same incarnation fails and counts nothing, as does a release.
   const std::uint64_t gen_b = reg.generation(b);
   CHECK(reg.abandon(b, gen_b));
   CHECK_EQ(reg.state(b), SlotRegistry::kOrphaned);
-  std::vector<std::uint32_t> dead;
-  CHECK_EQ(reg.scan([&](std::uint32_t s) { dead.push_back(s); }), 1u);
-  CHECK_EQ(dead.size(), std::size_t{1});
-  CHECK_EQ(dead[0], b);
+  CHECK_EQ(reg.counts().crash_reclaims, 1u);
+  CHECK(!reg.abandon(b, gen_b));
+  CHECK(!reg.release(b, gen_b));
+  CHECK_EQ(reg.counts().crash_reclaims, 1u);
+  CHECK_EQ(reg.counts().retires, 1u);
+  CHECK_EQ(reg.scan(), 1u);
+  CHECK_EQ(reg.scan(), 0u);
   CHECK_EQ(reg.state(b), SlotRegistry::kFree);
-  CHECK_EQ(reg.generation(b), gen_b + 3);  // abandon, RECLAIMING, FREE
+  CHECK_EQ(reg.generation(b), gen_b + 2);  // abandon, sweep
   CHECK_EQ(reg.state(a2), SlotRegistry::kActive);
 
   // Adoption. The pass starts at this thread's own slot, which is why the
   // first claim and the re-claim both got it. Orphaned, that slot is
-  // reclaimed in place (on_dead runs once) and handed over with the
-  // generation bumped twice past the orphan.
+  // adopted in one CAS, bumping the generation once past the orphan.
   CHECK_EQ(a2, a);
   CHECK(reg.abandon(a, reg.generation(a)));
   const std::uint64_t gen_orphan = reg.generation(a);
-  CHECK_EQ(reg.try_acquire([&](std::uint32_t s) { dead.push_back(s); }), a);
-  CHECK_EQ(dead.size(), std::size_t{2});
-  CHECK_EQ(dead[1], a);
+  CHECK_EQ(reg.try_acquire(), a);
   CHECK_EQ(reg.state(a), SlotRegistry::kActive);
-  CHECK_EQ(reg.generation(a), gen_orphan + 2);
-  CHECK_EQ(reg.try_acquire(kNoCleanup), b);
-  CHECK_EQ(reg.try_acquire(kNoCleanup), SlotRegistry::kNone);
+  CHECK_EQ(reg.generation(a), gen_orphan + 1);
+  CHECK_EQ(reg.try_acquire(), b);
+  CHECK_EQ(reg.try_acquire(), SlotRegistry::kNone);
 
   // Counters: every claim and adoption is a join, each clean release a
   // retire (the failed second release above counted nothing), each
-  // reclaim a crash reclaim.
+  // abandon a crash reclaim.
   const auto c = reg.counts();
   CHECK_EQ(c.joins, 5u);
   CHECK_EQ(c.retires, 1u);
@@ -97,8 +95,9 @@ void registry_state_machine() {
 
 void raii_guard() {
   SlotRegistry reg(1);
+  const std::uint32_t s = reg.try_acquire();
+  const std::uint64_t gen = reg.generation(s);
   {
-    const std::uint32_t s = reg.try_acquire(kNoCleanup);
     ProcessSlot guard(&reg, s);
     CHECK(guard.valid());
     CHECK_EQ(guard.id(), s);
@@ -107,12 +106,16 @@ void raii_guard() {
     CHECK(moved.valid());
   }  // moved's dtor released
   CHECK_EQ(reg.active(), 0u);
-  const std::uint32_t again = reg.try_acquire(kNoCleanup);
+  // An abandon after the release fails and counts nothing.
+  CHECK(!reg.abandon(s, gen));
+  CHECK_EQ(reg.counts().crash_reclaims, 0u);
+  const std::uint32_t again = reg.try_acquire();
   CHECK(again != SlotRegistry::kNone);
   ProcessSlot guard(&reg, again);
   guard.abandon();
   CHECK(!guard.valid());
   CHECK_EQ(reg.state(again), SlotRegistry::kOrphaned);
+  CHECK_EQ(reg.counts().crash_reclaims, 1u);
 }
 
 // ------------------------------------------------------- managed sessions
@@ -212,13 +215,13 @@ void orphan_reclaim_on_join() {
   auto a = m.join();
   auto b = m.join();
   std::vector<std::uint64_t> v(2);
-  a.ll(v.data());  // crash mid-link: announce settled, link open
+  a.ll(v.data());  // abandon between LL and SC: the link is open
   const std::uint32_t dead_pid = a.pid();
   a.abandon();
 
   // Every slot is held or orphaned: the first claim pass adopts a's slot
-  // (no retry pass, no sweep, no degradation), and the adoption settled
-  // the dead pid's announce before handing it over.
+  // (no retry pass, no sweep, no degradation); the abandon counted the
+  // crash.
   auto c = m.join();
   CHECK(!c.degraded());
   CHECK_EQ(c.pid(), dead_pid);
@@ -334,7 +337,8 @@ void traced_lifecycle() {
 }
 
 // The checker's lifecycle rules, on hand-built streams: leases must not
-// overlap, retire must not leave an LL open, dead pids stay silent.
+// overlap, neither retire nor crash reclaim may leave an LL open, dead
+// pids stay silent.
 obs::TraceEvent ev(obs::EventKind k, std::uint32_t pid, std::uint64_t tsc,
                    std::uint32_t arg = 0) {
   obs::TraceEvent e{};
@@ -377,6 +381,18 @@ void checker_lifecycle_rules() {
     const auto r = obs::check_trace(d);
     CHECK(!r.ok());
     CHECK(r.violations[0].find("open LL") != std::string::npos);
+  }
+  {  // a session abandons only at an op boundary
+    obs::TraceData d = base();
+    d.per_pid[0] = {ev(EventKind::kProcJoin, 0, 1),
+                    ev(EventKind::kLlStart, 0, 2),
+                    ev(EventKind::kProcCrashReclaim, 0, 3)};
+    const auto r = obs::check_trace(d);
+    CHECK(!r.ok());
+    CHECK(r.violations[0].find("abandoned with an open LL") !=
+          std::string::npos);
+    d.dropped[0] = 1;  // a truncated ring may have lost the close
+    CHECK(obs::check_trace(d).ok());
   }
   {  // protocol activity after retire
     obs::TraceData d = base();

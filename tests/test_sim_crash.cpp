@@ -1,5 +1,5 @@
 // Crash-stop fault injection in the deterministic simulator, on the
-// shipped core::MwLLSC (its own reclaim_pid/rebind_pid do the recovery):
+// shipped core::MwLLSC (its own rebind_pid reissues a pid):
 //   (a) bounded-exhaustive search with a crash budget — every N=2, W=2
 //       schedule with <=2 preemptions AND a crash-stop of the currently
 //       scheduled process injected at every protocol step (plus a
@@ -7,13 +7,13 @@
 //       that reaches the announced path) keeps I1, I2, the 4W+12 bound
 //       and the sequential-spec oracle green for the live processes;
 //   (b) directed schedules for the nastiest lifecycle points — a helper
-//       dying right after its donation, a winner dying between its X SC
-//       and its ring swap, a victim dying between announce and withdraw,
+//       frozen right after its donation, a winner frozen between its X SC
+//       and its ring swap, a victim frozen between announce and withdraw,
 //       a holder retiring after its last SC donated as a helper (then its
-//       pid is reissued), and a live process whose pid is reclaimed
-//       between its announce and its withdraw — asserting that reclamation
-//       and rebinding keep the exact buffer-ownership census (I1) and
-//       complete the pending bank write (I2);
+//       pid is reissued), and a helper whose own slot still holds a stale
+//       HELPED word — asserting that the survivors stay inside 4W+12 and
+//       the buffer-ownership census (I1) and the bank-write equation (I2)
+//       stay exact at every step;
 //   (c) replay round-trip — a recorded crash-churn schedule re-executes
 //       token-for-token to the same step count;
 //   (d) every invariant-violation message embeds the scheduler seed and
@@ -156,11 +156,10 @@ void drain(SimWorkload<Jp>& wl, JpChecker& chk) {
   CHECK(wl.done());
 }
 
-// (b1) Helper dies right after its donation CAS (before its own X SC).
-// The victim must consume the orphaned donation and finish inside 4W+12;
-// reclaiming the corpse must leave the census exact, and its reissued pid
-// must start from the exchange buffer it took in the exchange — not the
-// one its stale slot word still names.
+// (b1) Helper freezes right after its donation CAS (before its own X SC).
+// The victim must consume the orphaned donation and finish inside 4W+12,
+// with the census exact while the corpse holds the buffer it took in the
+// exchange.
 void crash_helper_after_donation() {
   SimWorkload<Jp> wl(2, 2, directed(6, 1));
   JpChecker chk(wl);
@@ -180,19 +179,14 @@ void crash_helper_after_donation() {
   CHECK(step_until(wl, chk, victim,
                    [&] { return wl.completed_lls() > lls_before; }));
   CHECK(wl.max_ll_steps() <= Jp::ll_step_bound(2, 2));
-
-  wl.reclaim(helper, chk);
-  CHECK(chk.ok());
-  CHECK_EQ(wl.crash_reclaims_total(), 1u);
   drain(wl, chk);
   CHECK_EQ(obj.stats().ll_retries, 0u);
 }
 
-// (b2) A winner dies between its X SC and its ring swap: the bank write is
-// owed. While the corpse is frozen the census counts the retiree as its
-// provisional spare and I2 counts the write as pending; reclaim_pid must
-// perform the swap on its behalf, so I2 is an equality again and the
-// reissued pid writes its next SC into an aged buffer.
+// (b2) A winner freezes between its X SC and its ring swap: the bank write
+// stays owed. The census counts the retiree as the corpse's provisional
+// spare and I2 counts the write as pending, while the survivor laps the
+// ring past the corpse's cell.
 void crash_winner_before_ring_swap() {
   SimWorkload<Jp> wl(2, 2, directed(6, 4));
   JpChecker chk(wl);
@@ -202,19 +196,15 @@ void crash_winner_before_ring_swap() {
                    [&] { return Peek::retire_pending(obj, winner); }));
   wl.crash(winner, chk);
   CHECK(chk.ok());
-  // The survivor laps the ring past the corpse's cell.
   CHECK(step_until(wl, chk, 0, [&] { return wl.proc_done(0); }));
-  wl.reclaim(winner, chk);
-  CHECK(chk.ok());
-  CHECK(!Peek::retire_pending(obj, winner));
-  CHECK_EQ(obj.stats().bank_writes, obj.stats().sc_success);
-  drain(wl, chk);
+  CHECK(wl.done());
+  CHECK(Peek::retire_pending(obj, winner));
+  CHECK_EQ(obj.stats().bank_writes + 1, obj.stats().sc_success);
 }
 
-// (b3) Victim dies between announce and withdraw. Helpers keep donating
+// (b3) Victim freezes between announce and withdraw. Helpers keep donating
 // into the corpse's WAITING slot; every donated buffer must stay exactly
-// once-owned (I1) while the corpse holds it, and reclamation must absorb
-// the orphaned announce/donation so the slot is clean for reuse.
+// once-owned (I1) while the corpse holds it.
 void crash_victim_mid_announce() {
   SimWorkload<Jp> wl(2, 2, directed(8, 2));
   JpChecker chk(wl);
@@ -230,14 +220,11 @@ void crash_victim_mid_announce() {
   CHECK(step_until(wl, chk, helper, [&] { return wl.proc_done(helper); },
                    50000));
   CHECK(wl.max_ll_steps() <= Jp::ll_step_bound(2, 2));
-
-  // Reclaim absorbs whatever the slot holds (WAITING withdrawn or HELPED
-  // adopted) and restores the census; the victim's stranded script then
-  // reruns its interrupted round from scratch.
-  wl.reclaim(victim, chk);
-  CHECK(chk.ok());
-  CHECK_EQ(wl.crash_reclaims_total(), 1u);
-  drain(wl, chk);
+  CHECK(wl.done());
+  // Nothing settles the corpse's announce: it stays in flight.
+  const Jp& obj = wl.object();
+  CHECK(Peek::announce_posted(obj, victim) ||
+        Peek::donation_posted(obj, victim));
 }
 
 // (b4) The rebind_pid fix: p1's SC donates to p0, p1's holder retires
@@ -263,27 +250,28 @@ void rebind_after_helper_donation() {
   drain(wl, chk);
 }
 
-// (b5) The withdraw-vs-reclaim race in core ll(): a live "zombie" whose
-// pid is reclaimed between its announce and its withdraw. This breaks
-// reclaim_pid's precondition on purpose (the membership layer never
-// reclaims a holder that did not abandon its slot); ll()'s defensive
-// branch must still break the link without asserting — its SC fails
-// semantically — and the object must stay fully functional.
-void withdraw_reclaim_race() {
-  WorkloadConfig cfg = directed(3, 1);
-  cfg.vl_percent = 100;  // LL, VL, SC: the VL must report the broken link
-  SimWorkload<Jp> wl(2, 2, cfg);
+// (b5) The stale-HELPED census rule. p0's slow LL loses its withdraw to
+// p1's donation (or is rescued by it), so p0's slot keeps that HELPED word
+// after the LL. p0 then donates the adopted buffer to p1 as a helper: the
+// stale word still names it, but p1 owns it now. The census, run every
+// step, must take p0's exchange side from Priv::xbuf, trusting only a
+// non-IDLE word that carries p0's current seq.
+void stale_helped_word_after_donating() {
+  SimWorkload<Jp> wl(2, 2, directed(12, 1));
   JpChecker chk(wl);
-  Jp& obj = wl.object();
-  const std::uint32_t zombie = 0;
-  CHECK(force_announce(wl, chk, zombie, 1));
-  CHECK(obj.reclaim_pid(zombie));  // the reclaimer's verdict, mid-LL
-  CHECK(step_until(wl, chk, zombie,
-                   [&] { return wl.last_op(zombie).type == OpType::kSc; }));
-  CHECK(chk.ok());
-  CHECK(!wl.last_op(zombie).success);  // no link: the SC fails
+  const Jp& obj = wl.object();
+  CHECK(force_announce(wl, chk, 0, 1));
+  CHECK(step_until(wl, chk, 1, [&] { return Peek::donation_posted(obj, 0); }));
+  const std::uint64_t lls_before = wl.completed_lls();
+  CHECK(step_until(wl, chk, 0,
+                   [&] { return wl.completed_lls() > lls_before; }));
+  CHECK_EQ(obj.stats().ll_helped, 1u);
+  CHECK(step_until(wl, chk, 1, [&] { return wl.at_boundary(1); }));
+  // Roles swap: p1 announces and p0's SC donates to it.
+  CHECK(force_announce(wl, chk, 1, 0));
+  CHECK(step_until(wl, chk, 0, [&] { return Peek::donation_posted(obj, 1); }));
+  CHECK_EQ(obj.stats().helps_given, 2u);
   drain(wl, chk);
-  CHECK(obj.stats().sc_success > 0);
 }
 
 // (c) A recorded crash-churn schedule replays token-for-token.
@@ -400,7 +388,7 @@ int main() {
   crash_winner_before_ring_swap();
   crash_victim_mid_announce();
   rebind_after_helper_donation();
-  withdraw_reclaim_race();
+  stale_helped_word_after_donating();
   replay_roundtrip();
   violations_carry_repro();
   churn_soak();

@@ -4,8 +4,8 @@
 // retries for jp-labelled variables, exactly one bank write per successful
 // SC (invariant I2), the <= 3-round bound of the apps-layer help-all
 // construction, and the membership lifecycle discipline (pid leases never
-// overlap, nobody retires mid-LL, retired/reclaimed pids stay silent until
-// rejoined). This makes a trace file a portable correctness artifact: the
+// overlap, nobody retires or abandons mid-LL, retired/reclaimed pids stay
+// silent until rejoined). This makes a trace file a portable correctness artifact: the
 // same rules run on live rings (tests/test_obs) and on a file from another
 // machine or CI run.
 //
