@@ -29,8 +29,8 @@
 // envelope needs other machinery: Blelloch & Wei, "LL/SC and Atomic Copy"
 // (PAPERS.md), give constant-time LL/SC from pointer-width CAS.
 //
-// Limits. jp uses 2N+R+1 buffers with R <= P, so N <= kMaxProcs = 2^16
-// keeps every index below 3*2^16+1 < 2^18 - 1: the all-ones word (the
+// Limits. jp uses N+R+1 buffers with R <= P, so N <= kMaxProcs = 2^16
+// keeps every index below 2*2^16+1 < 2^18 - 1: the all-ones word (the
 // kUnlinked link sentinel) is never installed. checked_nprocs, the first
 // initializer of the engine and of every object, throws for a larger N in
 // every build type.
@@ -78,8 +78,8 @@ inline constexpr unsigned kTagBits = 64 - kBufBits;
 inline constexpr std::uint64_t kBufMask = (std::uint64_t{1} << kBufBits) - 1;
 inline constexpr std::uint64_t kTagMask = (std::uint64_t{1} << kTagBits) - 1;
 inline constexpr std::uint32_t kMaxProcs = std::uint32_t{1} << 16;
-static_assert(3 * std::uint64_t{kMaxProcs} + 1 < kBufMask,
-              "jp's 2N+R+1 buffer indices must stay below all-ones");
+static_assert(2 * std::uint64_t{kMaxProcs} + 1 < kBufMask,
+              "jp's N+R+1 buffer indices must stay below all-ones");
 static_assert(std::atomic<std::uint64_t>::is_always_lock_free,
               "the engine needs a lock-free 64-bit CAS");
 

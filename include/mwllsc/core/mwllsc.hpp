@@ -3,13 +3,13 @@
 // completes in at most 4W+12 memory accesses regardless of N (Theorem 1's
 // O(W) bound), SC in O(W), VL in O(1), with O(NW) shared space.
 //
-// Layout. The W-word value always lives in one of 2N+R+1 buffers, where
-// R = max(2, P) and P is N rounded up to a power of two. Process p owns a
-// *spare* it writes its next SC value into and an *exchange* buffer it
-// offers through its announce slot (and reuses as help-copy scratch). R
-// buffers rest in the global *retirement ring*; the remaining buffer is
-// current. Each buffer row starts its own cache line; the R ring words and
-// the N announce words are packed eight to a line. The 1-word LL/SC
+// Layout. The W-word value always lives in one of N+R+1 buffers, where
+// R = max(2, P) and P is N rounded up to a power of two. Process p owns one
+// private *spare*: it writes its next SC value there, offers it through its
+// announce slot, and copies into it when it helps. R buffers rest in the
+// global *retirement ring*; the remaining buffer is current. Each buffer
+// row starts its own cache line; the R ring words and the N announce words
+// are packed eight to a line. The 1-word LL/SC
 // variable X holds the current buffer's index; its sequence tag is the
 // abstract version: tag T's value is whatever the T-th successful SC
 // installed. Every tag comparison is taken mod 2^46 (the envelope table in
@@ -30,8 +30,8 @@
 // fails is the fast-path/slow-path method (Brown's thesis, PAPERS.md).
 //
 // Slow path. If the first attempt sees drift > P, LL announces under its
-// seq (offering its exchange buffer) and runs the paper's announced
-// attempt: link, copy, aged validation again, then withdraw the announce.
+// seq (offering its spare) and runs the paper's announced attempt: link,
+// copy, aged validation again, then withdraw the announce.
 // The seq moves on as the LL finishes, so stale donations keyed to this
 // announce fail.
 //
@@ -40,18 +40,19 @@
 // slow path announces before it links. The winner installing tag U probes
 // announce slot U mod P before its SC, so those P consecutive winners
 // sweep every slot including p's; a prober that finds p WAITING copies the
-// current buffer into its own exchange buffer, re-validates its link
-// (strict: the copy is untorn and the value is current at an instant
-// inside p's LL — the prober wins its SC, so its link held throughout),
-// and CASes A[p] from the exact WAITING word to <HELPED, copy, seq>,
-// taking p's offered exchange buffer in return. Because the mark lands
-// before the helper's SC installs, it is complete before p's validation
-// can fail — so a failed validation finds HELPED already posted, and LL
-// finishes by copying the donated buffer. Worst case: failed first
-// attempt (link 1 + copy W + validate 1) + announce (1) + link (1) + copy
-// (W) + validate (1) + check A[p] (1) + donated copy (W) = (W+2) + (2W+4)
-// = 3W+6 <= 4W+12 accesses, with no retry loop at all. (A defensive retry
-// remains for robustness; tests assert it never fires.)
+// current buffer into its own spare, re-validates its link (strict: the
+// copy is untorn and the value is current at an instant inside p's LL —
+// the prober wins its SC, so its link held throughout), and CASes A[p]
+// from the exact WAITING word to <HELPED, copy, seq>, taking p's offered
+// spare in return; only then does it write its own SC value, into the
+// spare it now holds. Because the mark lands before the helper's SC
+// installs, it is complete before p's validation can fail — so a failed
+// validation finds HELPED already posted, and LL finishes by copying the
+// donated buffer. Worst case: failed first attempt (link 1 + copy W +
+// validate 1) + announce (1) + link (1) + copy (W) + validate (1) + check
+// A[p] (1) + donated copy (W) = (W+2) + (2W+4) = 3W+6 <= 4W+12 accesses,
+// with no retry loop at all. (A defensive retry remains for robustness;
+// tests assert it never fires.)
 //
 // Retirement ring. A successful SC retires the previously-current buffer
 // into ring cell (T+1) mod R — <buf, tag T+1> — taking the cell's old
@@ -117,9 +118,9 @@ class MwLLSC {
         w_(words),
         p2_(next_pow2(nprocs)),
         ring_size_(p2_ < 2 ? 2 : p2_),
-        nbufs_(2 * nprocs + ring_size_ + 1),
+        nbufs_(nprocs + ring_size_ + 1),
         row_lines_(lines_for(words)),
-        x_(nprocs, 2 * nprocs + ring_size_),
+        x_(nprocs, nprocs + ring_size_),
         rows_(std::make_unique<Line[]>(static_cast<std::size_t>(nbufs_) *
                                        row_lines_)),
         ring_(std::make_unique<Line[]>(lines_for(ring_size_))),
@@ -127,21 +128,17 @@ class MwLLSC {
         priv_(new Priv[nprocs]),
         stats_(nprocs) {
     assert(words >= 1);
-    // make_unique value-initializes every line, so all words start at zero.
-    // Buffer 2N+R is current (all-zero initial value); process p owns
-    // spare p and exchange buffer N+p; ring cell j seeds buffer 2N+j with
-    // the cell's last tag in [T0-R, T0), T0 being X's initial tag: already
-    // "aged" for the first real lap.
-    for (std::uint32_t p = 0; p < n_; ++p) {
-      priv_[p].spare = p;
-      priv_[p].xbuf = n_ + p;
-      slot(p).store(pack_a(kIdle, n_ + p, 0), std::memory_order_relaxed);
-    }
+    // make_unique value-initializes every line, so all words start at zero
+    // (every announce word is IDLE). Buffer N+R is current (all-zero
+    // initial value); process p owns spare p; ring cell j seeds buffer N+j
+    // with the cell's last tag in [T0-R, T0), T0 being X's initial tag:
+    // already "aged" for the first real lap.
+    for (std::uint32_t p = 0; p < n_; ++p) priv_[p].spare = p;
     const std::uint64_t t0 = x_.current_tag();
     for (std::uint32_t j = 0; j < ring_size_; ++j) {
       const std::uint64_t seed_tag =
           (t0 - ring_size_ + ((j - t0) & (ring_size_ - 1))) & llsc::kTagMask;
-      ring_cell(j).store(llsc::pack(2 * n_ + j, seed_tag),
+      ring_cell(j).store(llsc::pack(n_ + j, seed_tag),
                          std::memory_order_relaxed);
     }
   }
@@ -173,7 +170,7 @@ class MwLLSC {
     std::uint64_t drift = link_and_copy(p, out, &b, &t0);
     if (drift > p2_) {
       // More than P SCs landed during the attempt: ask for help. Announce,
-      // offering our exchange buffer to a prospective helper, then run the
+      // offering our spare to a prospective helper, then run the
       // paper's announced attempt. The word carries me.seq, which moves on
       // only when this LL finishes: a non-IDLE word carrying me.seq is
       // exactly the announce in flight.
@@ -181,7 +178,7 @@ class MwLLSC {
       // mwllsc-ordering: seq_cst(this store and the winners' pre-SC probes
       // of A[(T+1) mod P] share one total order, so a winner that misses
       // the announce must have linked before it — bounding drift at P tags)
-      slot(p).store(pack_a(kWaiting, me.xbuf, me.seq),
+      slot(p).store(pack_a(kWaiting, me.spare, me.seq),
                     std::memory_order_seq_cst);
       trace_.emit<kTraced>(obs::EventKind::kLlSlow, p, me.seq);
       while ((drift = link_and_copy(p, out, &b, &t0)) > p2_) {
@@ -192,11 +189,11 @@ class MwLLSC {
         // argument only holds inside that order)
         const std::uint64_t a = slot(p).load(std::memory_order_seq_cst);
         if (state_of_a(a) == kHelped && seq_of_a(a) == me.seq) {
-          // Return the donated snapshot. We own the buffer now; no
-          // validation needed.
+          // Return the donated snapshot. We own the buffer now, as our new
+          // spare; no validation needed.
           const std::uint32_t d = buf_of_a(a);
           copy_out(d, out);
-          me.xbuf = d;
+          me.spare = d;
           me.link_valid = false;  // a successful SC already intervened
           c.bump(c.ll_helped);
           c.bump(c.ll_used_helped_value);
@@ -214,17 +211,17 @@ class MwLLSC {
       // a winner's donation CAS on this slot; the total order picks
       // exactly one side of the ownership exchange.
       // mwllsc-ordering: seq_cst(withdraw vs donation CAS, one winner)
-      std::uint64_t expect = pack_a(kWaiting, me.xbuf, me.seq);
+      std::uint64_t expect = pack_a(kWaiting, me.spare, me.seq);
       if (!slot(p).compare_exchange_strong(
-              expect, pack_a(kIdle, me.xbuf, me.seq),
+              expect, pack_a(kIdle, me.spare, me.seq),
               std::memory_order_seq_cst)) {
         // Only a donation to this announce moves the word. The validated
-        // value stands; adopt the donated buffer as our new exchange
-        // buffer — the donor took the one we offered.
+        // value stands; adopt the donated buffer as our new spare — the
+        // donor took the one we offered.
         assert(state_of_a(expect) == kHelped && seq_of_a(expect) == me.seq);
-        me.xbuf = buf_of_a(expect);
+        me.spare = buf_of_a(expect);
         c.bump(c.ll_helped);
-        trace_.emit<kTraced>(obs::EventKind::kLlHelped, p, me.seq, me.xbuf);
+        trace_.emit<kTraced>(obs::EventKind::kLlHelped, p, me.seq, me.spare);
       }
       me.seq = next_seq(me.seq);
     }
@@ -249,9 +246,6 @@ class MwLLSC {
       return false;
     }
     me.link_valid = false;             // the link is consumed either way
-    // Write the new value into our spare buffer.
-    copy_in(me.spare, v);
-    std::atomic_thread_fence(std::memory_order_release);
     const std::uint64_t t = x_.linked_tag(p);
     // Probe the help schedule *before* the SC: the winner of tag T+1
     // reads A[(T+1) mod P] (P a power of two — mask, no division), so
@@ -266,10 +260,10 @@ class MwLLSC {
           slot(target).load(std::memory_order_seq_cst);
       if (state_of_a(seen) == kWaiting) {
         // Pre-SC help: copy the (still linked) current buffer into our
-        // exchange buffer, re-validate the link seqlock-style — if it
-        // holds, the copy is an untorn snapshot of version T taken after
-        // the target announced — and donate it by marking A[target].
-        copy_buf(me.ll_buf, me.xbuf);
+        // spare, re-validate the link seqlock-style — if it holds, the
+        // copy is an untorn snapshot of version T taken after the target
+        // announced — and donate it by marking A[target].
+        copy_buf(me.ll_buf, me.spare);
         std::atomic_thread_fence(std::memory_order_acquire);
         if (x_.vl(p)) {
           // The donation must precede our SC of tag T+1 in the total
@@ -278,9 +272,9 @@ class MwLLSC {
           // mwllsc-ordering: seq_cst(donation before SC; races withdraw)
           std::uint64_t expect = seen;
           if (slot(target).compare_exchange_strong(
-                  expect, pack_a(kHelped, me.xbuf, seq_of_a(seen)),
+                  expect, pack_a(kHelped, me.spare, seq_of_a(seen)),
                   std::memory_order_seq_cst)) {
-            me.xbuf = buf_of_a(seen);  // ownership exchange, O(1)
+            me.spare = buf_of_a(seen);  // ownership exchange, O(1)
             c.bump(c.helps_given);
             trace_.emit<kTraced>(obs::EventKind::kHelpInstall, p,
                                  seq_of_a(seen), target);
@@ -288,6 +282,10 @@ class MwLLSC {
         }
       }
     }
+    // Only now write the new value: the spare may have just been swapped
+    // for the target's offered buffer, or hold a help copy.
+    copy_in(me.spare, v);
+    std::atomic_thread_fence(std::memory_order_release);
     if (!x_.sc(p, me.spare)) {
       trace_.emit<kTraced>(obs::EventKind::kScFail, p, me.seq);
       return false;
@@ -319,12 +317,12 @@ class MwLLSC {
 
   /// Reissues pid p to a new owner after its previous one retired or
   /// abandoned it, both at an op boundary: no ring swap is pending and no
-  /// announce is in flight. The private mirror is authoritative — xbuf is
-  /// the exchange buffer the previous owner actually held (the slot word
-  /// can still name one it donated away as a helper) — so the new owner
-  /// only starts with its link broken. Must not run concurrently with any
-  /// operation by a previous owner of p; the membership layer guarantees
-  /// this by only reissuing slots whose holder released or abandoned them.
+  /// announce is in flight. The private mirror is authoritative — spare is
+  /// the buffer the previous owner actually held (the slot word can still
+  /// name one it donated away as a helper) — so the new owner only starts
+  /// with its link broken. Must not run concurrently with any operation by
+  /// a previous owner of p; the membership layer guarantees this by only
+  /// reissuing slots whose holder released or abandoned them.
   void rebind_pid(std::uint32_t p) {
     assert(p < n_);
     Priv& me = priv_[p];
@@ -340,7 +338,7 @@ class MwLLSC {
   util::Footprint footprint() const {
     util::Footprint f;
     f.add("X descriptor (1-word LL/SC)", x_.shared_bytes());
-    f.add("value buffers ((2N+R+1) rows of ceil(W/8) lines)",
+    f.add("value buffers ((N+R+1) rows of ceil(W/8) lines)",
           static_cast<std::size_t>(nbufs_) * row_lines_ * sizeof(Line));
     f.add("retirement ring (R words, packed)",
           lines_for(ring_size_) * sizeof(Line));
@@ -407,8 +405,7 @@ class MwLLSC {
 
   // Touched only by the owning process.
   struct alignas(64) Priv {
-    std::uint32_t spare = 0;
-    std::uint32_t xbuf = 0;
+    std::uint32_t spare = 0;  ///< the one private buffer (see Layout)
     std::uint32_t ll_buf = 0;
     std::uint64_t seq = 0;
     std::uint64_t retire_tag = kNoRetire;  ///< pending bank write's tag
@@ -506,7 +503,7 @@ class MwLLSC {
   const std::uint32_t nbufs_;
   const std::uint32_t row_lines_;  ///< lines per buffer row, ceil(W/8)
   LLSC x_;
-  std::unique_ptr<Line[]> rows_;  ///< 2N+R+1 rows; none shares a line
+  std::unique_ptr<Line[]> rows_;  ///< N+R+1 rows; none shares a line
   // The R ring words share ceil(R/8) lines. Packing them costs little:
   // only SC winners write them, one resolution per tag.
   std::unique_ptr<Line[]> ring_;  ///< X's format: buf(18) | tag(46)

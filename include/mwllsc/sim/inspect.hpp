@@ -91,17 +91,14 @@ struct Inspector<Jp> {
   static const void* announce_addr(const Jp& o, std::uint32_t p) {
     return &o.slot(p);
   }
-  static std::uint32_t spare_of(const Jp& o, std::uint32_t p) {
-    return o.priv_[p].spare;
-  }
-  /// The buffer p owns through its exchange side: while p's announce is
-  /// in flight its slot word names it (a donation may have replaced the
-  /// offered buffer); otherwise Priv::xbuf does, and a stale HELPED word
-  /// may name a buffer p has since donated away as a helper.
-  static std::uint32_t exchange_buf_of(const Jp& o, std::uint32_t p) {
+  /// The one buffer p owns: while p's announce is in flight its slot word
+  /// names it (a donation may have replaced the offered spare); otherwise
+  /// Priv::spare does, and a stale slot word may name a buffer p has since
+  /// donated away as a helper.
+  static std::uint32_t private_buf_of(const Jp& o, std::uint32_t p) {
     const std::uint64_t a = o.slot(p).peek();
     return Jp::in_flight(a, o.priv_[p].seq) ? Jp::buf_of_a(a)
-                                            : o.priv_[p].xbuf;
+                                            : o.priv_[p].spare;
   }
   /// p is between its X SC and its ring swap (a bank write is owed).
   static bool retire_pending(const Jp& o, std::uint32_t p) {

@@ -22,8 +22,8 @@
 //   * JpChecker      the oracle plus the paper's structural invariants on
 //     the jp object:
 //       I1      every buffer has exactly one owner: the object (current),
-//               a process's spare, a process's exchange side, or a
-//               retirement-ring cell;
+//               one process (its private buffer), or one retirement-ring
+//               cell;
 //       I2      exactly one bank write (the ring retirement) per
 //               successful SC, counting the pending ones;
 //       4W+12   no LL exceeds Theorem 1's step bound and the defensive
@@ -238,8 +238,7 @@ class JpChecker : public OracleChecker<Jp> {
     owners_.assign(nbufs, 0);
     bump_owner(Peek::current_buf(o), nbufs);
     for (std::uint32_t p = 0; p < n_; ++p) {
-      bump_owner(Peek::spare_of(o, p), nbufs);
-      bump_owner(Peek::exchange_buf_of(o, p), nbufs);
+      bump_owner(Peek::private_buf_of(o, p), nbufs);
     }
     for (std::uint32_t j = 0; j < Peek::ring_size(o); ++j) {
       bump_owner(Peek::ring_buf(o, j), nbufs);
@@ -247,8 +246,8 @@ class JpChecker : public OracleChecker<Jp> {
     for (std::uint32_t b = 0; b < nbufs; ++b) {
       if (owners_[b] != 1) {
         return fail("I1 violated at step %llu: buffer %u has %d owners "
-                    "(want exactly 1: current, a spare, an exchange "
-                    "side, or a ring cell)",
+                    "(want exactly 1: current, one process, or one "
+                    "ring cell)",
                     ull(step_count_), b, owners_[b]);
       }
     }

@@ -32,7 +32,7 @@ std::size_t lines_for(std::size_t words) { return (words + 7) / 8; }
 void check_jp_layout(std::uint32_t n, std::uint32_t w) {
   std::size_t r = 2;
   while (r < n) r <<= 1;
-  const std::size_t rows = 2 * std::size_t{n} + r + 1;
+  const std::size_t rows = std::size_t{n} + r + 1;
   const std::size_t bytes =
       64 * (1 + rows * lines_for(w) + lines_for(r) + lines_for(n));
   auto native = bench::factory_by_name("jp").make(n, w);
@@ -88,7 +88,7 @@ int main() {
   CHECK(am_exp > 1.6 && am_exp < 2.4);
 
   // At equal geometry am pays a factor ~Theta(N) more shared space than
-  // jp. The divisor absorbs jp's constant (2N+R+1 line-aligned rows plus
+  // jp. The divisor absorbs jp's constant (N+R+1 line-aligned rows plus
   // the packed ring and announce lines); the fitted exponents above carry
   // the asymptotic claim.
   const double ratio = am.back() / jp.back();

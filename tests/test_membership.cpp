@@ -7,6 +7,7 @@
 // maintenance reclaimer.
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -433,11 +434,16 @@ void checker_lifecycle_rules() {
 // With `reaper`, a maintenance thread sweeps orphans while the workers
 // churn; without it, orphans are recycled only by joiners adopting them,
 // and one reclaim_scan() after the workers finish settles the rest. Either
-// way the counter identities hold exactly.
+// way the counter identities hold exactly. MWLLSC_SIM_SOAK=1 (the CI
+// fault-injection job) runs ten times the sessions.
 void mt_churn(bool reaper) {
+  const bool soak = [] {
+    const char* e = std::getenv("MWLLSC_SIM_SOAK");
+    return e && e[0] == '1';
+  }();
   constexpr std::uint32_t kSlots = 3;
   constexpr unsigned kThreads = 6;
-  constexpr unsigned kSessions = 60;
+  const unsigned sessions = soak ? 600 : 60;
   constexpr unsigned kOpsPerSession = 25;
 
   Managed m(kSlots, 2);
@@ -460,7 +466,7 @@ void mt_churn(bool reaper) {
   for (unsigned t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
       std::vector<std::uint64_t> v(2);
-      for (unsigned sess = 0; sess < kSessions; ++sess) {
+      for (unsigned sess = 0; sess < sessions; ++sess) {
         auto s = m.join();
         for (unsigned op = 0; op < kOpsPerSession; ++op) {
           // Retry until this session's increment lands (SC failures are
@@ -492,17 +498,17 @@ void mt_churn(bool reaper) {
   std::vector<std::uint64_t> v(2);
   final_session.ll(v.data());
   CHECK_EQ(v[0],
-           std::uint64_t{kThreads} * kSessions * kOpsPerSession);
+           std::uint64_t{kThreads} * sessions * kOpsPerSession);
   CHECK_EQ(v[0], m.stats().sc_success - 0u);
   final_session.retire();
 
   const auto s = m.membership();
   if (!reaper) CHECK_EQ(s.scans, 1u);
   CHECK_EQ(s.joins + s.degraded_joins,
-           std::uint64_t{kThreads} * kSessions + 1);
+           std::uint64_t{kThreads} * sessions + 1);
   CHECK_EQ(s.crash_reclaims, abandons.load());
   CHECK_EQ(s.retires + abandons.load(),
-           std::uint64_t{kThreads} * kSessions + 1);
+           std::uint64_t{kThreads} * sessions + 1);
   CHECK_EQ(s.active, 0u);
 
   // Metrics surface the lifecycle series.

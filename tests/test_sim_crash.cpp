@@ -230,7 +230,7 @@ void crash_victim_mid_announce() {
 // (b4) The rebind_pid fix: p1's SC donates to p0, p1's holder retires
 // gracefully, pid 1 is reissued, and the new holder runs LL;SC. p1's slot
 // word still names the buffer it donated; the new holder must get the one
-// p1 took in exchange (Priv::xbuf), or two owners share a buffer.
+// p1 took in exchange (Priv::spare), or two owners share a buffer.
 void rebind_after_helper_donation() {
   SimWorkload<Jp> wl(2, 2, directed(6, 1));
   JpChecker chk(wl);
@@ -254,7 +254,7 @@ void rebind_after_helper_donation() {
 // p1's donation (or is rescued by it), so p0's slot keeps that HELPED word
 // after the LL. p0 then donates the adopted buffer to p1 as a helper: the
 // stale word still names it, but p1 owns it now. The census, run every
-// step, must take p0's exchange side from Priv::xbuf, trusting only a
+// step, must take p0's private buffer from Priv::spare, trusting only a
 // non-IDLE word that carries p0's current seq.
 void stale_helped_word_after_donating() {
   SimWorkload<Jp> wl(2, 2, directed(12, 1));
