@@ -32,7 +32,6 @@
 #include <cstring>
 #include <memory>
 #include <type_traits>
-#include <vector>
 
 #include "apps/universal.hpp"
 #include "core/any.hpp"
@@ -76,10 +75,10 @@ class WfUniversal {
         slots_(new Slot[nprocs]),
         priv_(new Priv[nprocs]) {
     for (std::uint32_t p = 0; p < n_; ++p)
-      priv_[p].scratch.assign(words_, 0);
+      priv_[p].scratch = std::make_unique<ScratchLine[]>((words_ + 7) / 8);
     // Install the initial state single-threaded: T's bytes, every
     // applied_seq and result zero.
-    std::uint64_t* buf = priv_[0].scratch.data();
+    std::uint64_t* buf = priv_[0].buf();
     obj_->ll(0, buf);
     std::memset(buf, 0, static_cast<std::size_t>(words_) * 8);
     std::memcpy(buf, &initial, sizeof(T));
@@ -106,7 +105,7 @@ class WfUniversal {
     a.seq.store(seq, std::memory_order_seq_cst);
     hook("announced", p);
     trace_.emit(obs::EventKind::kAnnounce, p, seq, static_cast<std::uint32_t>(d.kind));
-    std::uint64_t* buf = me.scratch.data();
+    std::uint64_t* buf = me.buf();
     std::uint64_t attempts = 0;
     for (;;) {
       ++attempts;
@@ -131,9 +130,9 @@ class WfUniversal {
   /// Reads the current state (one LL — an atomic snapshot).
   T read(std::uint32_t p) {
     assert(p < n_);
-    obj_->ll(p, priv_[p].scratch.data());
+    obj_->ll(p, priv_[p].buf());
     T state;
-    std::memcpy(&state, priv_[p].scratch.data(), sizeof(T));
+    std::memcpy(&state, priv_[p].buf(), sizeof(T));
     return state;
   }
 
@@ -180,8 +179,15 @@ class WfUniversal {
     std::atomic<std::uint64_t> arg{0};
   };
 
+  /// Scratch comes in whole lines of its own, so one pid's LL copies never
+  /// pull another pid's scratch line between cores.
+  struct alignas(64) ScratchLine {
+    std::uint64_t w[8];
+  };
+
   struct alignas(64) Priv {
-    std::vector<std::uint64_t> scratch;
+    std::unique_ptr<ScratchLine[]> scratch;  ///< ceil(W/8) lines
+    std::uint64_t* buf() { return scratch[0].w; }
     std::uint64_t seq = 0;
     std::atomic<std::uint64_t> attempts{0};
     std::atomic<std::uint64_t> max_attempts{0};

@@ -7,9 +7,10 @@
 // R = max(2, P) and P is N rounded up to a power of two. Process p owns one
 // private *spare*: it writes its next SC value there, offers it through its
 // announce slot, and copies into it when it helps. R buffers rest in the
-// global *retirement ring*; the remaining buffer is current. Each buffer
-// row starts its own cache line; the R ring words and the N announce words
-// are packed eight to a line. The 1-word LL/SC
+// global *retirement ring*; the remaining buffer is current. Rows sit at
+// a stride of 4 words when W <= 4, two to a cache line, and otherwise of
+// ceil(W/8) whole lines, so no row straddles a line; the R ring words and
+// the N announce words are packed eight to a line. The 1-word LL/SC
 // variable X holds the current buffer's index; its sequence tag is the
 // abstract version: tag T's value is whatever the T-th successful SC
 // installed. Every tag comparison is taken mod 2^46 (the envelope table in
@@ -119,10 +120,9 @@ class MwLLSC {
         p2_(next_pow2(nprocs)),
         ring_size_(p2_ < 2 ? 2 : p2_),
         nbufs_(nprocs + ring_size_ + 1),
-        row_lines_(lines_for(words)),
+        row_stride_(stride_for(words)),
         x_(nprocs, nprocs + ring_size_),
-        rows_(std::make_unique<Line[]>(static_cast<std::size_t>(nbufs_) *
-                                       row_lines_)),
+        rows_(std::make_unique<Line[]>(row_pool_lines())),
         ring_(std::make_unique<Line[]>(lines_for(ring_size_))),
         announce_(std::make_unique<Line[]>(lines_for(nprocs))),
         priv_(new Priv[nprocs]),
@@ -338,8 +338,8 @@ class MwLLSC {
   util::Footprint footprint() const {
     util::Footprint f;
     f.add("X descriptor (1-word LL/SC)", x_.shared_bytes());
-    f.add("value buffers ((N+R+1) rows of ceil(W/8) lines)",
-          static_cast<std::size_t>(nbufs_) * row_lines_ * sizeof(Line));
+    f.add("value buffers ((N+R+1) rows, two per line if W <= 4)",
+          row_pool_lines() * sizeof(Line));
     f.add("retirement ring (R words, packed)",
           lines_for(ring_size_) * sizeof(Line));
     f.add("announce words (N, packed)", lines_for(n_) * sizeof(Line));
@@ -390,8 +390,8 @@ class MwLLSC {
     return p;
   }
 
-  /// One cache line of shared words. Lines carry no padding, so a row's
-  /// ceil(W/8) consecutive lines hold its W words contiguously.
+  /// One cache line of shared words. Lines carry no padding, so the row
+  /// pool is one flat run of words.
   struct alignas(64) Line {
     Atomic<std::uint64_t> w[8];
   };
@@ -399,6 +399,17 @@ class MwLLSC {
 
   static std::uint32_t lines_for(std::uint32_t words) {
     return (words + 7) / 8;
+  }
+
+  /// A row's slot in the pool, in words: half a line when W <= 4, so two
+  /// rows share a line, else whole lines. Either way a row never crosses
+  /// a line boundary.
+  static std::uint32_t stride_for(std::uint32_t words) {
+    return words <= 4 ? 4 : 8 * lines_for(words);
+  }
+
+  std::size_t row_pool_lines() const {
+    return (static_cast<std::size_t>(nbufs_) * row_stride_ + 7) / 8;
   }
 
   static constexpr std::uint64_t kNoRetire = ~std::uint64_t{0};
@@ -413,7 +424,7 @@ class MwLLSC {
   };
 
   Atomic<std::uint64_t>* buf_row(std::uint32_t b) const {
-    return rows_[static_cast<std::size_t>(b) * row_lines_].w;
+    return rows_[0].w + static_cast<std::size_t>(b) * row_stride_;
   }
   Atomic<std::uint64_t>& ring_cell(std::uint32_t j) const {
     return ring_[j / 8].w[j % 8];
@@ -501,9 +512,11 @@ class MwLLSC {
   const std::uint32_t p2_;        ///< N rounded up to a power of two (P)
   const std::uint32_t ring_size_; ///< R = max(2, P), a power of two
   const std::uint32_t nbufs_;
-  const std::uint32_t row_lines_;  ///< lines per buffer row, ceil(W/8)
+  const std::uint32_t row_stride_;  ///< words per row slot (stride_for)
   LLSC x_;
-  std::unique_ptr<Line[]> rows_;  ///< N+R+1 rows; none shares a line
+  // N+R+1 rows at row_stride_. Two W <= 4 rows share a line: false sharing
+  // between them costs time, never correctness.
+  std::unique_ptr<Line[]> rows_;
   // The R ring words share ceil(R/8) lines. Packing them costs little:
   // only SC winners write them, one resolution per tag.
   std::unique_ptr<Line[]> ring_;  ///< X's format: buf(18) | tag(46)

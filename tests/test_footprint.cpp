@@ -2,8 +2,9 @@
 // algorithm is O(NW) shared words while the Anderson–Moir-style baseline is
 // O(N^2 W), so doubling N should roughly double jp and roughly quadruple
 // am. Fitted log-log exponents make the asymptotics explicit. jp's exact
-// layout is pinned too: one line for X, ceil(W/8) lines per buffer row, and
-// the ring and announce words packed eight to a line.
+// layout is pinned too: one line for X, buffer rows two to a line when
+// W <= 4 and ceil(W/8) lines each otherwise, none straddling a line, and the
+// ring and announce words packed eight to a line.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -26,6 +27,9 @@ std::uintptr_t addr(const void* p) {
 
 std::size_t lines_for(std::size_t words) { return (words + 7) / 8; }
 
+// A row's slot in words: half a line when W <= 4, else whole lines.
+std::size_t row_stride(std::size_t w) { return w <= 4 ? 4 : 8 * lines_for(w); }
+
 // jp's shared bytes and line placement at (N, W): the native object's
 // footprint, and the simulated twin's addresses through sim::Inspector
 // (the same template, so the same layout).
@@ -33,8 +37,8 @@ void check_jp_layout(std::uint32_t n, std::uint32_t w) {
   std::size_t r = 2;
   while (r < n) r <<= 1;
   const std::size_t rows = std::size_t{n} + r + 1;
-  const std::size_t bytes =
-      64 * (1 + rows * lines_for(w) + lines_for(r) + lines_for(n));
+  const std::size_t bytes = 64 * (1 + lines_for(rows * row_stride(w)) +
+                                  lines_for(r) + lines_for(n));
   auto native = bench::factory_by_name("jp").make(n, w);
   CHECK_EQ(shared_bytes(*native), bytes);
   const sim::Jp s(n, w);
@@ -50,7 +54,10 @@ void check_jp_layout(std::uint32_t n, std::uint32_t w) {
   CHECK_EQ(ring0 % 64, 0u);
   CHECK_EQ(ann0 % 64, 0u);
   for (std::uint32_t b = 0; b < rows; ++b) {
-    CHECK_EQ(addr(Peek::row_addr(s, b)) - row0, 64 * lines_for(w) * b);
+    const std::uintptr_t row = addr(Peek::row_addr(s, b));
+    CHECK_EQ(row - row0, w <= 4 ? 32u * b : 64 * lines_for(w) * b);
+    // No row straddles a line: it spans the fewest lines its W words can.
+    CHECK(row % 64 + 8 * w <= 64 * lines_for(w));
   }
   for (std::uint32_t j = 0; j < r; ++j) {
     CHECK_EQ(addr(Peek::ring_addr(s, j)) - ring0, 8u * j);
@@ -101,10 +108,20 @@ int main() {
                         static_cast<double>(shared_bytes(*j16));
   CHECK(wratio > 2.5 && wratio < 4.5);
 
-  // Exact sizes and placement: any W within one 8-word line costs the same
-  // (W = 1, 4, 8), and crossing it adds a line per row (W = 9).
+  // Exact sizes and placement: W <= 4 rows take half a line (W = 1..4),
+  // W = 5..8 a whole one, and each further 8 words add a line per row.
   for (std::uint32_t n : {1u, 2u, 3u, 4u, 8u, 9u, 64u}) {
-    for (std::uint32_t wl : {1u, 4u, 8u, 9u}) check_jp_layout(n, wl);
+    for (std::uint32_t wl : {1u, 2u, 3u, 4u, 5u, 8u, 9u, 16u, 64u})
+      check_jp_layout(n, wl);
+  }
+  // A few sizes worked out by hand, independent of the formula above:
+  // perfbench spread's object (N=3, W=4: 1 + 4 + 1 + 1 lines), hot's
+  // (N=3, W=7: 1 + 8 + 1 + 1), and the smallest and a large object.
+  struct Pin { std::uint32_t n, w; std::size_t bytes; };
+  for (const Pin& pin : {Pin{3, 4, 448}, Pin{3, 7, 704}, Pin{1, 1, 320},
+                         Pin{64, 64, 67136}}) {
+    CHECK_EQ(shared_bytes(*bench::factory_by_name("jp").make(pin.n, pin.w)),
+             pin.bytes);
   }
 
   std::printf("test_footprint: OK\n");

@@ -3,7 +3,8 @@
 // shared W-word object. Every snapshot an LL returns must be internally
 // consistent (all words carry the same logical count — a torn or stale
 // read would break that), and the final value must be exactly T*K: no lost
-// or duplicated increments.
+// or duplicated increments. Each substrate runs at W=4, where jp packs two
+// rows to a cache line, and at W=5, where each row has a line of its own.
 //
 // Every substrate stresses with a bound trace sink, so the same run doubles
 // as the data-race check for the tracing hot path (TSan job): live
@@ -24,11 +25,11 @@ namespace {
 
 constexpr unsigned kThreads = 4;
 constexpr std::uint64_t kIncrements = 15000;
-constexpr std::uint32_t kW = 5;
+constexpr std::uint32_t kWs[] = {4, 5};
 
-void stress_for(const core::MwLLSCFactory& f) {
-  std::printf("  %s...\n", f.name.c_str());
-  auto obj = f.make(kThreads, kW);
+void stress_for(const core::MwLLSCFactory& f, std::uint32_t w) {
+  std::printf("  %s, W=%u...\n", f.name.c_str(), w);
+  auto obj = f.make(kThreads, w);
   obs::TraceSink sink(kThreads);
   obj->set_trace(&sink, 0);
   util::SpinBarrier start(kThreads);
@@ -36,21 +37,21 @@ void stress_for(const core::MwLLSCFactory& f) {
   std::atomic<bool> failed{false};
   for (unsigned t = 0; t < kThreads; ++t) {
     pool.emplace_back([&, t] {
-      std::vector<std::uint64_t> v(kW);
+      std::vector<std::uint64_t> v(w);
       start.arrive_and_wait();
       for (std::uint64_t i = 0; i < kIncrements; ++i) {
         for (;;) {
           obj->ll(t, v.data());
           // Internal consistency: every word equals word 0. An update
           // writes count to all words, so any torn snapshot trips this.
-          for (std::uint32_t k = 1; k < kW; ++k) {
+          for (std::uint32_t k = 1; k < w; ++k) {
             if (v[k] != v[0]) {
               failed.store(true);
               return;
             }
           }
           const std::uint64_t next = v[0] + 1;
-          for (std::uint32_t k = 0; k < kW; ++k) v[k] = next;
+          for (std::uint32_t k = 0; k < w; ++k) v[k] = next;
           if (obj->sc(t, v.data())) break;
         }
       }
@@ -59,9 +60,9 @@ void stress_for(const core::MwLLSCFactory& f) {
   for (auto& th : pool) th.join();
   CHECK(!failed.load());
 
-  std::vector<std::uint64_t> fin(kW);
+  std::vector<std::uint64_t> fin(w);
   obj->ll(0, fin.data());
-  for (std::uint32_t k = 0; k < kW; ++k) {
+  for (std::uint32_t k = 0; k < w; ++k) {
     CHECK_EQ(fin[k], kThreads * kIncrements);
   }
 
@@ -93,16 +94,16 @@ void stress_for(const core::MwLLSCFactory& f) {
 
 // Readers validating against concurrent writers: a pure reader must always
 // see consistent snapshots while writers hammer the object.
-void reader_writer_for(const core::MwLLSCFactory& f) {
-  auto obj = f.make(3, kW);
+void reader_writer_for(const core::MwLLSCFactory& f, std::uint32_t w) {
+  auto obj = f.make(3, w);
   util::TimedRun run;
   std::atomic<bool> failed{false};
   run.run_for(3, 100'000'000, [&](unsigned t) {
-    std::vector<std::uint64_t> v(kW);
+    std::vector<std::uint64_t> v(w);
     if (t == 0) {  // reader
       while (!run.should_stop()) {
         obj->ll(0, v.data());
-        for (std::uint32_t k = 1; k < kW; ++k) {
+        for (std::uint32_t k = 1; k < w; ++k) {
           if (v[k] != v[0]) {
             failed.store(true);
             return;
@@ -113,7 +114,7 @@ void reader_writer_for(const core::MwLLSCFactory& f) {
       while (!run.should_stop()) {
         obj->ll(t, v.data());
         const std::uint64_t next = v[0] + 1;
-        for (std::uint32_t k = 0; k < kW; ++k) v[k] = next;
+        for (std::uint32_t k = 0; k < w; ++k) v[k] = next;
         obj->sc(t, v.data());
       }
     }
@@ -124,11 +125,14 @@ void reader_writer_for(const core::MwLLSCFactory& f) {
 }  // namespace
 
 int main() {
-  std::printf("test_stress_mt: %u threads x %llu increments, W=%u\n",
-              kThreads, static_cast<unsigned long long>(kIncrements), kW);
-  for (const auto& f : bench::all_factories()) {
-    stress_for(f);
-    reader_writer_for(f);
+  std::printf("test_stress_mt: %u threads x %llu increments, W=%u and %u\n",
+              kThreads, static_cast<unsigned long long>(kIncrements), kWs[0],
+              kWs[1]);
+  for (std::uint32_t w : kWs) {
+    for (const auto& f : bench::all_factories()) {
+      stress_for(f, w);
+      reader_writer_for(f, w);
+    }
   }
   std::printf("test_stress_mt: OK\n");
   return 0;
