@@ -21,8 +21,7 @@
 //     stay small at low contention and grow with N and W, yet never touch
 //     the O(W) step bound: help is a constant-cost premium, not a retry
 //     loop.
-// Then E4's reader-heavy table (2 writers, the rest pure readers, W = 64)
-// and a disjoint-access table (32 objects, W = 8).
+// Then E4's reader-heavy table (2 writers, the rest pure readers, W = 64).
 //
 // Exit gate: 1 if any jp or am cell breaks invariant I2 (bank_writes !=
 // sc_success: one bank write per successful SC), or any jp cell took a
@@ -243,48 +242,6 @@ int main(int argc, char** argv) {
       table.print();
       std::printf("\n");
     }
-  }
-
-  // Disjoint-access scaling: K independent objects, each thread works on a
-  // random object per op. With contention spread across objects, the
-  // CAS-based implementations scale again — the single-object tables above
-  // measure the worst case, this one the common case.
-  {
-    constexpr std::uint32_t kObjects = 32;
-    constexpr std::uint32_t kW = 8;
-    std::printf("disjoint-access scaling: %u independent objects, W = %u\n",
-                kObjects, kW);
-    TablePrinter table({"threads", "jp", "am", "retry", "lock"});
-    for (const unsigned t : threads) {
-      std::vector<std::string> row = {TablePrinter::num(std::size_t{t})};
-      for (const auto& f : factories) {
-        std::vector<std::unique_ptr<core::IMwLLSC>> objs;
-        for (std::uint32_t k = 0; k < kObjects; ++k)
-          objs.push_back(f.make(t, kW));
-        // Relaxed op counter: summed after join(); the join supplies the
-        // happens-before for the final read (DESIGN.md §9).
-        std::atomic<std::uint64_t> pairs{0};
-        util::TimedRun run;
-        run.run_for(t, duration_ns, [&](unsigned tid) {
-          std::vector<std::uint64_t> value(kW);
-          util::Xoshiro256 g(tid + 1);
-          std::uint64_t mine = 0;
-          while (!run.should_stop()) {
-            core::IMwLLSC& obj = *objs[g.next_below(kObjects)];
-            obj.ll(tid, value.data());
-            value[0] += 1;
-            obj.sc(tid, value.data());
-            ++mine;
-          }
-          pairs.fetch_add(mine, std::memory_order_relaxed);
-        });
-        row.push_back(
-            TablePrinter::num(mops(pairs.load(std::memory_order_relaxed), run),
-                              2));
-      }
-      table.add_row(std::move(row));
-    }
-    table.print();
   }
 
   if (!json_path.empty() && !out.write(json_path)) ok = false;

@@ -59,13 +59,9 @@ class WfUniversal {
   /// Per-apply bound on { LL; help-all; SC } rounds (see file comment).
   static constexpr std::uint64_t kMaxAttempts = 3;
 
-  /// Test seam (apps/ is not simulated; the core protocol is driven by
-  /// directed simulator schedules instead): called at "announced"
-  /// (op published, before the first LL), "linked" (snapshot taken, before
-  /// help-all + SC) and "sc_failed". Lets a test park a process at an
-  /// exact protocol point and drive the help-all path deterministically.
-  using StepHook = void (*)(void* ctx, const char* point, std::uint32_t pid);
-
+  /// `substrate` is also the test seam (apps/ is not simulated): a test
+  /// decorates the variable's LL to run another process's apply at an
+  /// exact protocol point and so drive the help-all path deterministically.
   WfUniversal(std::uint32_t nprocs, const T& initial,
               Substrate substrate = jp_substrate())
       : n_(nprocs),
@@ -103,7 +99,6 @@ class WfUniversal {
     // this store in real time is guaranteed to observe the seq, which is
     // what makes help_all exhaustive and apply() wait-free)
     a.seq.store(seq, std::memory_order_seq_cst);
-    hook("announced", p);
     trace_.emit(obs::EventKind::kAnnounce, p, seq, static_cast<std::uint32_t>(d.kind));
     std::uint64_t* buf = me.buf();
     std::uint64_t attempts = 0;
@@ -111,11 +106,9 @@ class WfUniversal {
       ++attempts;
       obj_->ll(p, buf);
       if (buf[applied_ix(p)] == seq) break;  // a winner applied us
-      hook("linked", p);
       const std::uint32_t applied = help_all(buf);
       trace_.emit(obs::EventKind::kHelpAll, p, seq, applied);
       if (obj_->sc(p, buf)) break;  // we won; our own op was in help_all
-      hook("sc_failed", p);
       assert(attempts < kMaxAttempts && "help-all attempt bound violated");
     }
     trace_.emit(obs::EventKind::kApplyCommit, p, seq,
@@ -157,11 +150,6 @@ class WfUniversal {
   core::IMwLLSC& substrate() { return *obj_; }
   std::uint32_t procs() const { return n_; }
   std::uint32_t words() const { return words_; }
-
-  void set_step_hook(StepHook h, void* ctx) {
-    hook_ = h;
-    hook_ctx_ = ctx;
-  }
 
   /// Binds both the construction and its substrate to the sink under one
   /// variable id: apps events (announce/help_all/apply_commit) interleave
@@ -228,10 +216,6 @@ class WfUniversal {
     return applied;
   }
 
-  void hook(const char* point, std::uint32_t pid) {
-    if (hook_) hook_(hook_ctx_, point, pid);
-  }
-
   std::uint32_t n_;
   std::uint32_t payload_words_;
   std::uint32_t words_;
@@ -239,8 +223,6 @@ class WfUniversal {
   std::unique_ptr<Slot[]> slots_;
   std::unique_ptr<Priv[]> priv_;
   obs::TraceHandle trace_;
-  StepHook hook_ = nullptr;
-  void* hook_ctx_ = nullptr;
   const Op op_{};
 };
 

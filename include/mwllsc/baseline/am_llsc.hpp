@@ -8,6 +8,7 @@
 // copy instead of an O(1) exchange.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
@@ -15,6 +16,7 @@
 #include <memory>
 
 #include "core/llsc.hpp"
+#include "core/rows.hpp"
 #include "obs/trace.hpp"
 #include "util/stats.hpp"
 
@@ -24,8 +26,6 @@ template <class LLSC, class Mem = NativeMemory>
 class AmLLSC {
   template <class T>
   using Atomic = typename Mem::template Atomic<T>;
-  template <class T>
-  using Plain = typename Mem::template Plain<T>;
 
  public:
   /// The implemented LL step bound in shared-memory accesses: am shares
@@ -39,21 +39,13 @@ class AmLLSC {
 
   AmLLSC(std::uint32_t nprocs, std::uint32_t words)
       : n_(llsc::checked_nprocs(nprocs)),
-        w_(words),
-        nbufs_(nprocs + 1),
+        rows_(std::size_t{nprocs} + 1, words),
+        handoff_(std::size_t{nprocs} * nprocs, words),
         x_(nprocs, nprocs),
-        buf_(new Atomic<std::uint64_t>[static_cast<std::size_t>(
-            nprocs + 1) * words]),
-        handoff_(new Plain<std::uint64_t>[static_cast<std::size_t>(nprocs) *
-                                          nprocs * words]),
         announce_(new AnnounceSlot[nprocs]),
         priv_(new Priv[nprocs]),
-        lastval_(new std::uint64_t[static_cast<std::size_t>(nprocs) * words]),
+        lastval_(new std::uint64_t[std::size_t{nprocs} * words]),
         stats_(nprocs) {
-    assert(words >= 1);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(nbufs_) * w_; ++i) {
-      buf_[i].store(0, std::memory_order_relaxed);
-    }
     for (std::uint32_t p = 0; p < n_; ++p) {
       priv_[p].spare = p;
       announce_[p].a.store(pack_a(kIdle, 0, 0), std::memory_order_relaxed);
@@ -72,7 +64,7 @@ class AmLLSC {
     trace_.emit(obs::EventKind::kLlStart, p, me.seq);
     for (;;) {
       const auto b = static_cast<std::uint32_t>(x_.ll(p));
-      copy_from_bufs(b, out);
+      rows_.copy_out(b, out);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (x_.vl(p)) {
         // mwllsc-ordering: seq_cst(the withdraw races a helper's kHelped
@@ -85,7 +77,7 @@ class AmLLSC {
           trace_.emit(obs::EventKind::kLlHelped, p, me.seq);
         }
         // Keep the private copy a future successful SC donates from.
-        for (std::uint32_t i = 0; i < w_; ++i) lastrow(p)[i] = out[i];
+        std::copy_n(out, rows_.words(), lastrow(p));
         me.ll_buf = b;
         me.link_valid = true;
         stats_.at(p).bump(stats_.at(p).ll_ops);
@@ -100,8 +92,7 @@ class AmLLSC {
         // The helper copied a consistent value into its handoff row for us;
         // it will not be rewritten until we announce again.
         const std::uint32_t q = donor_of_a(a);
-        const Plain<std::uint64_t>* h = handoff_row(q, p);
-        for (std::uint32_t i = 0; i < w_; ++i) out[i] = h[i];
+        handoff_.copy_out(handoff_row(q, p), out);
         me.link_valid = false;
         auto& c = stats_.at(p);
         c.bump(c.ll_helped);
@@ -126,7 +117,7 @@ class AmLLSC {
       return false;
     }
     me.link_valid = false;
-    copy_to_bufs(me.spare, v);
+    rows_.copy_in(me.spare, v);
     std::atomic_thread_fence(std::memory_order_release);
     const std::uint64_t t = x_.linked_tag(p);
     const std::uint32_t target = static_cast<std::uint32_t>((t + 1) % n_);
@@ -145,9 +136,7 @@ class AmLLSC {
     if (target != p && state_of_a(seen) == kWaiting) {
       // Copy-based help: hand over the value we read at our LL (current
       // until our SC an instant ago) through our handoff row. O(W).
-      Plain<std::uint64_t>* h = handoff_row(p, target);
-      const std::uint64_t* src = lastrow(p);
-      for (std::uint32_t i = 0; i < w_; ++i) h[i] = src[i];
+      handoff_.copy_in(handoff_row(p, target), lastrow(p));
       const std::uint64_t donated = pack_a(kHelped, p, seq_of_a(seen));
       // mwllsc-ordering: seq_cst(the help install races the owner's
       // withdraw CAS; exactly one CAS on the slot wins the handoff)
@@ -169,26 +158,24 @@ class AmLLSC {
     return x_.vl(p);
   }
 
-  std::uint32_t words() const { return w_; }
+  std::uint32_t words() const { return rows_.words(); }
 
   core::OpStatsSnapshot stats() const { return stats_.snapshot(); }
 
   void set_trace(obs::TraceSink* sink, std::uint32_t var) {
     trace_.bind(sink, var);
-    if (sink) sink->describe_var(var, w_, "am");
+    if (sink) sink->describe_var(var, rows_.words(), "am");
   }
 
   util::Footprint footprint() const {
     util::Footprint f;
     f.add("X descriptor (1-word LL/SC)", x_.shared_bytes());
-    f.add("value buffers ((N+1) x W words)",
-          static_cast<std::size_t>(nbufs_) * w_ * sizeof(std::uint64_t));
-    f.add("handoff matrix (N^2 x W words)",
-          static_cast<std::size_t>(n_) * n_ * w_ * sizeof(std::uint64_t));
+    f.add("value buffers (N+1 rows)", rows_.bytes());
+    f.add("handoff matrix (N^2 rows)", handoff_.bytes());
     f.add("announce/help slots (N)", n_ * sizeof(AnnounceSlot));
     f.add("per-process state (private)",
           n_ * sizeof(Priv) +
-              static_cast<std::size_t>(n_) * w_ * sizeof(std::uint64_t) +
+              std::size_t{n_} * rows_.words() * sizeof(std::uint64_t) +
               x_.private_bytes() + stats_.bytes(),
           util::Footprint::Ownership::kPerProcess);
     return f;
@@ -223,38 +210,19 @@ class AmLLSC {
     bool link_valid = false;
   };
 
-  void copy_from_bufs(std::uint32_t b, std::uint64_t* out) const {
-    const Atomic<std::uint64_t>* row =
-        buf_.get() + static_cast<std::size_t>(b) * w_;
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      out[i] = row[i].load(std::memory_order_relaxed);
-    }
-  }
-
-  void copy_to_bufs(std::uint32_t b, const std::uint64_t* v) {
-    Atomic<std::uint64_t>* row =
-        buf_.get() + static_cast<std::size_t>(b) * w_;
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      row[i].store(v[i], std::memory_order_relaxed);
-    }
-  }
-
-  Plain<std::uint64_t>* handoff_row(std::uint32_t helper,
-                                    std::uint32_t helpee) {
-    return handoff_.get() +
-           (static_cast<std::size_t>(helper) * n_ + helpee) * w_;
+  /// The handoff row only `helper` writes and only `helpee` reads.
+  std::size_t handoff_row(std::uint32_t helper, std::uint32_t helpee) const {
+    return std::size_t{helper} * n_ + helpee;
   }
 
   std::uint64_t* lastrow(std::uint32_t p) {
-    return lastval_.get() + static_cast<std::size_t>(p) * w_;
+    return lastval_.get() + std::size_t{p} * rows_.words();
   }
 
   const std::uint32_t n_;
-  const std::uint32_t w_;
-  const std::uint32_t nbufs_;
+  core::RowPool<Mem> rows_;     ///< the N+1 value rows (core/rows.hpp)
+  core::RowPool<Mem> handoff_;  ///< the N^2 handoff rows, see handoff_row
   LLSC x_;
-  std::unique_ptr<Atomic<std::uint64_t>[]> buf_;
-  std::unique_ptr<Plain<std::uint64_t>[]> handoff_;
   std::unique_ptr<AnnounceSlot[]> announce_;
   std::unique_ptr<Priv[]> priv_;
   std::unique_ptr<std::uint64_t[]> lastval_;

@@ -10,6 +10,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/llsc.hpp"
 #include "obs/trace.hpp"
 #include "util/stats.hpp"
 #include "util/thread_safety.hpp"
@@ -19,12 +20,11 @@ namespace mwllsc::baseline {
 class LockLLSC {
  public:
   LockLLSC(std::uint32_t nprocs, std::uint32_t words)
-      : n_(nprocs),
+      : n_(llsc::checked_nprocs(nprocs)),
         w_(words),
         value_(words, 0),
         linked_(new Linked[nprocs]),
         stats_(nprocs) {
-    assert(nprocs >= 1);
     assert(words >= 1);
     for (std::uint32_t p = 0; p < nprocs; ++p) {
       linked_[p].version = kUnlinked;

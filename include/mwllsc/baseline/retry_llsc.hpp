@@ -13,6 +13,7 @@
 #include <memory>
 
 #include "core/llsc.hpp"
+#include "core/rows.hpp"
 #include "obs/trace.hpp"
 #include "util/stats.hpp"
 
@@ -20,23 +21,13 @@ namespace mwllsc::baseline {
 
 template <class LLSC, class Mem = NativeMemory>
 class RetryLLSC {
-  template <class T>
-  using Atomic = typename Mem::template Atomic<T>;
-
  public:
   RetryLLSC(std::uint32_t nprocs, std::uint32_t words)
       : n_(llsc::checked_nprocs(nprocs)),
-        w_(words),
-        nbufs_(nprocs + 1),
+        rows_(std::size_t{nprocs} + 1, words),
         x_(nprocs, nprocs),
-        buf_(new Atomic<std::uint64_t>[static_cast<std::size_t>(
-            nprocs + 1) * words]),
         priv_(new Priv[nprocs]),
         stats_(nprocs) {
-    assert(words >= 1);
-    for (std::size_t i = 0; i < static_cast<std::size_t>(nbufs_) * w_; ++i) {
-      buf_[i].store(0, std::memory_order_relaxed);
-    }
     for (std::uint32_t p = 0; p < n_; ++p) priv_[p].spare = p;
   }
 
@@ -46,7 +37,7 @@ class RetryLLSC {
     trace_.emit(obs::EventKind::kLlStart, p);
     for (;;) {  // unbounded: lock-free, not wait-free
       const auto b = static_cast<std::uint32_t>(x_.ll(p));
-      copy_out(b, out);
+      rows_.copy_out(b, out);
       std::atomic_thread_fence(std::memory_order_acquire);
       if (x_.vl(p)) {
         me.ll_buf = b;
@@ -70,7 +61,7 @@ class RetryLLSC {
       return false;
     }
     me.link_valid = false;
-    copy_in(me.spare, v);
+    rows_.copy_in(me.spare, v);
     std::atomic_thread_fence(std::memory_order_release);
     if (!x_.sc(p, me.spare)) {
       trace_.emit(obs::EventKind::kScFail, p);
@@ -91,20 +82,19 @@ class RetryLLSC {
     return x_.vl(p);
   }
 
-  std::uint32_t words() const { return w_; }
+  std::uint32_t words() const { return rows_.words(); }
 
   core::OpStatsSnapshot stats() const { return stats_.snapshot(); }
 
   void set_trace(obs::TraceSink* sink, std::uint32_t var) {
     trace_.bind(sink, var);
-    if (sink) sink->describe_var(var, w_, "retry");
+    if (sink) sink->describe_var(var, rows_.words(), "retry");
   }
 
   util::Footprint footprint() const {
     util::Footprint f;
     f.add("X descriptor (1-word LL/SC)", x_.shared_bytes());
-    f.add("value buffers ((N+1) x W words)",
-          static_cast<std::size_t>(nbufs_) * w_ * sizeof(std::uint64_t));
+    f.add("value buffers (N+1 rows)", rows_.bytes());
     f.add("per-process state (private)",
           n_ * sizeof(Priv) + x_.private_bytes() + stats_.bytes(),
           util::Footprint::Ownership::kPerProcess);
@@ -118,27 +108,9 @@ class RetryLLSC {
     bool link_valid = false;
   };
 
-  void copy_out(std::uint32_t b, std::uint64_t* out) const {
-    const Atomic<std::uint64_t>* row =
-        buf_.get() + static_cast<std::size_t>(b) * w_;
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      out[i] = row[i].load(std::memory_order_relaxed);
-    }
-  }
-
-  void copy_in(std::uint32_t b, const std::uint64_t* v) {
-    Atomic<std::uint64_t>* row =
-        buf_.get() + static_cast<std::size_t>(b) * w_;
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      row[i].store(v[i], std::memory_order_relaxed);
-    }
-  }
-
   const std::uint32_t n_;
-  const std::uint32_t w_;
-  const std::uint32_t nbufs_;
+  core::RowPool<Mem> rows_;  ///< the N+1 value rows (core/rows.hpp)
   LLSC x_;
-  std::unique_ptr<Atomic<std::uint64_t>[]> buf_;
   std::unique_ptr<Priv[]> priv_;
   util::OpStatsArray stats_;
   obs::TraceHandle trace_;

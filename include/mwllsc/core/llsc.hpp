@@ -39,11 +39,10 @@
 // the linking process and padded to its own cache line.
 //
 // Shared-memory policy. The engine and the protocols built on it reach
-// shared memory only through a policy's `Atomic<T>` (and, for the am
-// baseline's handoff rows, `Plain<T>`). NativeMemory is plain std::atomic
-// and plain words, so production code compiles exactly as if written
-// against std::atomic directly; the simulator's policy (sim/memory.hpp)
-// turns every load, store and CAS into a scheduling point.
+// shared memory only through a policy's `Atomic<T>`. NativeMemory is plain
+// std::atomic, so production code compiles exactly as if written against
+// std::atomic directly; the simulator's policy (sim/memory.hpp) turns
+// every load, store and CAS into a scheduling point.
 #pragma once
 
 #include <atomic>
@@ -59,8 +58,6 @@ namespace mwllsc {
 struct NativeMemory {
   template <class T>
   using Atomic = std::atomic<T>;
-  template <class T>
-  using Plain = T;
 };
 
 namespace sim {

@@ -7,14 +7,14 @@
 // R = max(2, P) and P is N rounded up to a power of two. Process p owns one
 // private *spare*: it writes its next SC value there, offers it through its
 // announce slot, and copies into it when it helps. R buffers rest in the
-// global *retirement ring*; the remaining buffer is current. Rows sit at
-// a stride of 4 words when W <= 4, two to a cache line, and otherwise of
-// ceil(W/8) whole lines, so no row straddles a line; the R ring words and
-// the N announce words are packed eight to a line. The 1-word LL/SC
-// variable X holds the current buffer's index; its sequence tag is the
-// abstract version: tag T's value is whatever the T-th successful SC
-// installed. Every tag comparison is taken mod 2^46 (the envelope table in
-// core/llsc.hpp), so the object runs across a tag wrap unchanged.
+// global *retirement ring*; the remaining buffer is current. The buffers
+// are the rows of a core::RowPool (core/rows.hpp: two to a cache line when
+// W <= 4, no row straddling a line); the R ring words and the N announce
+// words are packed eight to a line. The 1-word LL/SC variable X holds the
+// current buffer's index; its sequence tag is the abstract version: tag
+// T's value is whatever the T-th successful SC installed. Every tag
+// comparison is taken mod 2^46 (the envelope table in core/llsc.hpp), so
+// the object runs across a tag wrap unchanged.
 //
 // Fast path with aged validation. LL(p) first links X (tag T, buffer b),
 // copies b, then re-reads X's tag, announcing nothing: the snapshot is
@@ -94,6 +94,7 @@
 #include <memory>
 
 #include "core/llsc.hpp"
+#include "core/rows.hpp"
 #include "obs/trace.hpp"
 #include "util/stats.hpp"
 
@@ -116,18 +117,15 @@ class MwLLSC {
 
   MwLLSC(std::uint32_t nprocs, std::uint32_t words)
       : n_(llsc::checked_nprocs(nprocs)),
-        w_(words),
         p2_(next_pow2(nprocs)),
         ring_size_(p2_ < 2 ? 2 : p2_),
         nbufs_(nprocs + ring_size_ + 1),
-        row_stride_(stride_for(words)),
+        rows_(nbufs_, words),
         x_(nprocs, nprocs + ring_size_),
-        rows_(std::make_unique<Line[]>(row_pool_lines())),
-        ring_(std::make_unique<Line[]>(lines_for(ring_size_))),
-        announce_(std::make_unique<Line[]>(lines_for(nprocs))),
+        ring_(std::make_unique<Line<Mem>[]>(lines_for(ring_size_))),
+        announce_(std::make_unique<Line<Mem>[]>(lines_for(nprocs))),
         priv_(new Priv[nprocs]),
         stats_(nprocs) {
-    assert(words >= 1);
     // make_unique value-initializes every line, so all words start at zero
     // (every announce word is IDLE). Buffer N+R is current (all-zero
     // initial value); process p owns spare p; ring cell j seeds buffer N+j
@@ -192,7 +190,7 @@ class MwLLSC {
           // Return the donated snapshot. We own the buffer now, as our new
           // spare; no validation needed.
           const std::uint32_t d = buf_of_a(a);
-          copy_out(d, out);
+          rows_.copy_out(d, out);
           me.spare = d;
           me.link_valid = false;  // a successful SC already intervened
           c.bump(c.ll_helped);
@@ -263,7 +261,7 @@ class MwLLSC {
         // spare, re-validate the link seqlock-style — if it holds, the
         // copy is an untorn snapshot of version T taken after the target
         // announced — and donate it by marking A[target].
-        copy_buf(me.ll_buf, me.spare);
+        rows_.copy_row(me.ll_buf, me.spare);
         std::atomic_thread_fence(std::memory_order_acquire);
         if (x_.vl(p)) {
           // The donation must precede our SC of tag T+1 in the total
@@ -284,7 +282,7 @@ class MwLLSC {
     }
     // Only now write the new value: the spare may have just been swapped
     // for the target's offered buffer, or hold a help copy.
-    copy_in(me.spare, v);
+    rows_.copy_in(me.spare, v);
     std::atomic_thread_fence(std::memory_order_release);
     if (!x_.sc(p, me.spare)) {
       trace_.emit<kTraced>(obs::EventKind::kScFail, p, me.seq);
@@ -331,7 +329,7 @@ class MwLLSC {
     me.link_valid = false;
   }
 
-  std::uint32_t words() const { return w_; }
+  std::uint32_t words() const { return rows_.words(); }
 
   OpStatsSnapshot stats() const { return stats_.snapshot(); }
 
@@ -339,10 +337,10 @@ class MwLLSC {
     util::Footprint f;
     f.add("X descriptor (1-word LL/SC)", x_.shared_bytes());
     f.add("value buffers ((N+R+1) rows, two per line if W <= 4)",
-          row_pool_lines() * sizeof(Line));
+          rows_.bytes());
     f.add("retirement ring (R words, packed)",
-          lines_for(ring_size_) * sizeof(Line));
-    f.add("announce words (N, packed)", lines_for(n_) * sizeof(Line));
+          lines_for(ring_size_) * sizeof(Line<Mem>));
+    f.add("announce words (N, packed)", lines_for(n_) * sizeof(Line<Mem>));
     f.add("per-process state (private)",
           n_ * sizeof(Priv) + x_.private_bytes() + stats_.bytes(),
           util::Footprint::Ownership::kPerProcess);
@@ -354,7 +352,7 @@ class MwLLSC {
   /// zero-retry rules on. A null sink unbinds.
   void set_trace(obs::TraceSink* sink, std::uint32_t var) {
     trace_.bind(sink, var);
-    if (sink) sink->describe_var(var, w_, "jp");
+    if (sink) sink->describe_var(var, rows_.words(), "jp");
   }
 
  private:
@@ -390,28 +388,6 @@ class MwLLSC {
     return p;
   }
 
-  /// One cache line of shared words. Lines carry no padding, so the row
-  /// pool is one flat run of words.
-  struct alignas(64) Line {
-    Atomic<std::uint64_t> w[8];
-  };
-  static_assert(sizeof(Line) == 8 * sizeof(Atomic<std::uint64_t>));
-
-  static std::uint32_t lines_for(std::uint32_t words) {
-    return (words + 7) / 8;
-  }
-
-  /// A row's slot in the pool, in words: half a line when W <= 4, so two
-  /// rows share a line, else whole lines. Either way a row never crosses
-  /// a line boundary.
-  static std::uint32_t stride_for(std::uint32_t words) {
-    return words <= 4 ? 4 : 8 * lines_for(words);
-  }
-
-  std::size_t row_pool_lines() const {
-    return (static_cast<std::size_t>(nbufs_) * row_stride_ + 7) / 8;
-  }
-
   static constexpr std::uint64_t kNoRetire = ~std::uint64_t{0};
 
   // Touched only by the owning process.
@@ -423,21 +399,11 @@ class MwLLSC {
     bool link_valid = false;
   };
 
-  Atomic<std::uint64_t>* buf_row(std::uint32_t b) const {
-    return rows_[0].w + static_cast<std::size_t>(b) * row_stride_;
-  }
   Atomic<std::uint64_t>& ring_cell(std::uint32_t j) const {
     return ring_[j / 8].w[j % 8];
   }
   Atomic<std::uint64_t>& slot(std::uint32_t p) const {
     return announce_[p / 8].w[p % 8];
-  }
-
-  void copy_out(std::uint32_t b, std::uint64_t* out) const {
-    const Atomic<std::uint64_t>* row = buf_row(b);
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      out[i] = row[i].load(std::memory_order_relaxed);
-    }
   }
 
   /// One LL attempt: link X, copy its buffer, re-read X's tag (W+2
@@ -447,25 +413,9 @@ class MwLLSC {
                               std::uint32_t* b, std::uint64_t* t0) {
     *b = static_cast<std::uint32_t>(x_.ll(p));
     *t0 = x_.linked_tag(p);
-    copy_out(*b, out);
+    rows_.copy_out(*b, out);
     std::atomic_thread_fence(std::memory_order_acquire);
     return (x_.current_tag() - *t0) & llsc::kTagMask;
-  }
-
-  void copy_in(std::uint32_t b, const std::uint64_t* v) {
-    Atomic<std::uint64_t>* row = buf_row(b);
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      row[i].store(v[i], std::memory_order_relaxed);
-    }
-  }
-
-  void copy_buf(std::uint32_t from, std::uint32_t to) {
-    const Atomic<std::uint64_t>* src = buf_row(from);
-    Atomic<std::uint64_t>* dst = buf_row(to);
-    for (std::uint32_t i = 0; i < w_; ++i) {
-      dst[i].store(src[i].load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
-    }
   }
 
   /// The bank write: retires me.ll_buf through the aged ring cell of
@@ -508,21 +458,19 @@ class MwLLSC {
   }
 
   const std::uint32_t n_;
-  const std::uint32_t w_;
   const std::uint32_t p2_;        ///< N rounded up to a power of two (P)
   const std::uint32_t ring_size_; ///< R = max(2, P), a power of two
   const std::uint32_t nbufs_;
-  const std::uint32_t row_stride_;  ///< words per row slot (stride_for)
+  // The N+R+1 value rows (core/rows.hpp). Declared ahead of x_, so the
+  // pool's fields share the object's first line with the counts above.
+  RowPool<Mem> rows_;
   LLSC x_;
-  // N+R+1 rows at row_stride_. Two W <= 4 rows share a line: false sharing
-  // between them costs time, never correctness.
-  std::unique_ptr<Line[]> rows_;
   // The R ring words share ceil(R/8) lines. Packing them costs little:
   // only SC winners write them, one resolution per tag.
-  std::unique_ptr<Line[]> ring_;  ///< X's format: buf(18) | tag(46)
+  std::unique_ptr<Line<Mem>[]> ring_;  ///< X's format: buf(18) | tag(46)
   // The N announce words share ceil(N/8) lines. Only slow-path LLs, their
   // withdraws and donations write them; fast-path LLs never do.
-  std::unique_ptr<Line[]> announce_;
+  std::unique_ptr<Line<Mem>[]> announce_;
   std::unique_ptr<Priv[]> priv_;
   util::OpStatsArray stats_;
   obs::TraceHandle trace_;

@@ -14,6 +14,7 @@
 #include "baseline/am_llsc.hpp"
 #include "baseline/retry_llsc.hpp"
 #include "core/mwllsc.hpp"
+#include "core/rows.hpp"
 #include "sim/memory.hpp"
 
 namespace mwllsc::sim {
@@ -21,6 +22,15 @@ namespace mwllsc::sim {
 using Jp = core::MwLLSC<Engine, Memory>;
 using Am = baseline::AmLLSC<Engine, Memory>;
 using Retry = baseline::RetryLLSC<Engine, Memory>;
+
+/// Row b of a simulated pool, read without scheduling points.
+inline std::vector<std::uint64_t> peek_row(const core::RowPool<Memory>& rows,
+                                           std::uint32_t b) {
+  const auto* row = rows.row(b);
+  std::vector<std::uint64_t> v(rows.words());
+  for (std::uint32_t i = 0; i < rows.words(); ++i) v[i] = row[i].peek();
+  return v;
+}
 
 /// The single-word engine: X's buffer and tag (the abstract version).
 template <>
@@ -34,21 +44,15 @@ struct Inspector<Engine> {
   static const void* cell(const Engine& e) { return &e.cell_.w; }
 };
 
-/// The am and retry baselines share one layout, N+1 unpadded buffers;
-/// both validate strictly, so one successful SC dooms a pending
-/// validation.
+/// The am and retry baselines: N+1 value rows, and both validate
+/// strictly, so one successful SC dooms a pending validation.
 template <class Object>
 struct Inspector {
   using X = Inspector<Engine>;
   static std::uint64_t version(const Object& o) { return X::tag(o.x_); }
   static const void* x_cell(const Object& o) { return X::cell(o.x_); }
   static std::vector<std::uint64_t> current_value(const Object& o) {
-    const std::uint32_t b = X::buf(o.x_);
-    std::vector<std::uint64_t> v(o.w_);
-    for (std::uint32_t i = 0; i < o.w_; ++i) {
-      v[i] = o.buf_[static_cast<std::size_t>(b) * o.w_ + i].peek();
-    }
-    return v;
+    return peek_row(o.rows_, X::buf(o.x_));
   }
   static bool link_valid(const Object& o, std::uint32_t p) {
     return o.priv_[p].link_valid;
@@ -64,10 +68,7 @@ struct Inspector<Jp> {
   static const void* x_cell(const Jp& o) { return X::cell(o.x_); }
   static std::uint32_t current_buf(const Jp& o) { return X::buf(o.x_); }
   static std::vector<std::uint64_t> current_value(const Jp& o) {
-    const auto* row = o.buf_row(current_buf(o));
-    std::vector<std::uint64_t> v(o.w_);
-    for (std::uint32_t i = 0; i < o.w_; ++i) v[i] = row[i].peek();
-    return v;
+    return peek_row(o.rows_, current_buf(o));
   }
   static bool link_valid(const Jp& o, std::uint32_t p) {
     return o.priv_[p].link_valid;
@@ -80,11 +81,8 @@ struct Inspector<Jp> {
   static std::uint32_t ring_buf(const Jp& o, std::uint32_t j) {
     return llsc::buf_of(o.ring_cell(j).peek());
   }
-  /// Addresses of buffer b's first word, ring word j and p's announce
-  /// word (the layout test checks alignment and packing).
-  static const void* row_addr(const Jp& o, std::uint32_t b) {
-    return o.buf_row(b);
-  }
+  /// Addresses of ring word j and p's announce word (the layout test
+  /// checks alignment and packing; core::RowPool's rows are public).
   static const void* ring_addr(const Jp& o, std::uint32_t j) {
     return &o.ring_cell(j);
   }

@@ -1,10 +1,9 @@
 // The simulator's shared-memory policy. The shipped protocols (core/,
-// baseline/) are templates over a policy supplying Atomic<T> and Plain<T>;
-// instantiated with sim::Memory, every load, store and CAS they make first
-// calls into the harness (sim/harness.hpp), which may park the calling
-// process right there and run another one. One access is one step, so the
-// step counts the harness reports are counts of the shipped code's shared
-// accesses.
+// baseline/) are templates over a policy supplying Atomic<T>; instantiated
+// with sim::Memory, every load, store and CAS they make first calls into
+// the harness (sim/harness.hpp), which may park the calling process right
+// there and run another one. One access is one step, so the step counts
+// the harness reports are counts of the shipped code's shared accesses.
 //
 // All simulated processes run on one thread, so the cells are plain values;
 // memory orders are accepted and ignored (the simulator explores
@@ -85,34 +84,9 @@ class SimAtomic {
   T v_{};
 };
 
-/// A shared non-atomic word (the am baseline's handoff rows): reads and
-/// writes through it are scheduling points like atomic accesses.
-template <class T>
-class SimPlain {
- public:
-  SimPlain() = default;
-  SimPlain(const SimPlain&) = delete;
-  SimPlain& operator=(const SimPlain&) = delete;
-
-  operator T() const {
-    detail::access(this, Access::kLoad);
-    return v_;
-  }
-  SimPlain& operator=(T v) {
-    detail::access(this, Access::kStore);
-    v_ = v;
-    return *this;
-  }
-
- private:
-  T v_{};
-};
-
 struct Memory {
   template <class T>
   using Atomic = SimAtomic<T>;
-  template <class T>
-  using Plain = SimPlain<T>;
 };
 
 /// The single-word engine under simulation, over sim memory.

@@ -14,7 +14,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -98,57 +98,73 @@ void lf_counter_for(const core::MwLLSCFactory& f) {
                   static_cast<double>(kThreads * kOpsPerThread));
 }
 
-// Deterministic help-all exercise via the step hook (the MT stress above
-// relies on the OS preempting inside an LL..SC window, which a single-core
-// machine may never do): park p0 at an exact protocol point and reentrantly
-// drive p1's apply from the hook. (The core protocol's equivalent runs as
-// directed simulator schedules in test_help_path.)
-struct DetHook {
-  WfCounter* obj;
-  const char* stall_point;
+// Deterministic help-all exercise through the Substrate seam (the MT
+// stress above relies on the OS preempting inside an LL..SC window, which
+// a single-core machine may never do): a decorator over jp parks p0 at an
+// exact protocol point of its first LL and reentrantly drives p1's apply
+// there. (The core protocol's equivalent runs as directed simulator
+// schedules in test_help_path.)
+struct DetInterference {
+  WfCounter* obj = nullptr;  ///< armed once set, after construction
+  bool before_ll = true;  ///< "announced": before p0's LL; else "linked"
   bool fired = false;
   std::uint64_t p1_result = 0;
 };
 
-void det_interfere(void* ctx, const char* point, std::uint32_t pid) {
-  auto* st = static_cast<DetHook*>(ctx);
-  if (st->fired || pid != 0) return;
-  if (std::strcmp(point, st->stall_point) != 0) return;
-  st->fired = true;  // p1's own hook points must not recurse
-  st->p1_result = st->obj->apply(1, apps::OpDesc{});
+class InterferingLL final : public core::IMwLLSC {
+ public:
+  InterferingLL(std::uint32_t n, std::uint32_t w, DetInterference* st)
+      : inner_(apps::jp_substrate()(n, w)), st_(st) {}
+
+  void ll(std::uint32_t pid, std::uint64_t* out) override {
+    const bool fire = pid == 0 && st_->obj != nullptr && !st_->fired;
+    if (fire) st_->fired = true;  // once: p0's later LLs run plainly
+    if (fire && st_->before_ll) interfere();
+    inner_->ll(pid, out);
+    if (fire && !st_->before_ll) interfere();
+  }
+  bool sc(std::uint32_t pid, const std::uint64_t* in) override {
+    return inner_->sc(pid, in);
+  }
+  bool vl(std::uint32_t pid) override { return inner_->vl(pid); }
+  std::uint32_t words() const override { return inner_->words(); }
+  core::OpStatsSnapshot stats() const override { return inner_->stats(); }
+  util::Footprint footprint() const override { return inner_->footprint(); }
+
+ private:
+  void interfere() { st_->p1_result = st_->obj->apply(1, apps::OpDesc{}); }
+
+  std::unique_ptr<core::IMwLLSC> inner_;
+  DetInterference* st_;
+};
+
+/// Runs p0's apply with p1's interleaved at the chosen point. Either way
+/// p1 helps p0 first (pid-ascending help order), so p0 gets 0 and p1 1.
+void interfered_apply(bool before_ll, std::uint64_t max_attempts) {
+  DetInterference st;
+  st.before_ll = before_ll;
+  WfCounter obj(2, Counter{0}, [&st](std::uint32_t n, std::uint32_t w) {
+    return std::make_unique<InterferingLL>(n, w, &st);
+  });
+  st.obj = &obj;
+  const std::uint64_t r0 = obj.apply(0, apps::OpDesc{});
+  CHECK(st.fired);
+  CHECK_EQ(r0, 0u);
+  CHECK_EQ(st.p1_result, 1u);
+  CHECK_EQ(obj.read(0).v, 2u);
+  CHECK_EQ(obj.max_attempts(), max_attempts);
 }
 
 void deterministic_help_paths() {
-  // Helped before the first LL: p1's committed SC applies p0's announced
-  // op, so p0 returns straight from its snapshot — no SC at all. Help
-  // order (pid-ascending) gives p0 the earlier fetch&inc value.
-  {
-    WfCounter obj(2, Counter{0});
-    DetHook st{&obj, "announced", false, 0};
-    obj.set_step_hook(&det_interfere, &st);
-    const std::uint64_t r0 = obj.apply(0, apps::OpDesc{});
-    obj.set_step_hook(nullptr, nullptr);
-    CHECK(st.fired);
-    CHECK_EQ(r0, 0u);
-    CHECK_EQ(st.p1_result, 1u);
-    CHECK_EQ(obj.read(0).v, 2u);
-    CHECK_EQ(obj.max_attempts(), 1u);  // p0 never reached an SC
-  }
-  // Failed SC, then helped: p0 has linked when p1 commits (helping p0 in
-  // the same SC). p0's SC fails semantically; its second LL finds the op
-  // applied and returns the result from that snapshot.
-  {
-    WfCounter obj(2, Counter{0});
-    DetHook st{&obj, "linked", false, 0};
-    obj.set_step_hook(&det_interfere, &st);
-    const std::uint64_t r0 = obj.apply(0, apps::OpDesc{});
-    obj.set_step_hook(nullptr, nullptr);
-    CHECK(st.fired);
-    CHECK_EQ(r0, 0u);
-    CHECK_EQ(st.p1_result, 1u);
-    CHECK_EQ(obj.read(0).v, 2u);
-    CHECK_EQ(obj.max_attempts(), 2u);  // one failed SC + the helped exit
-  }
+  // "announced", helped before the first LL: p1's committed SC applies
+  // p0's announced op, so p0 returns straight from its snapshot without
+  // reaching an SC: one attempt.
+  interfered_apply(/*before_ll=*/true, 1);
+  // "linked", failed SC, then helped: p0 has linked when p1 commits
+  // (helping p0 in the same SC). p0's SC fails semantically; its second LL
+  // finds the op applied and returns the result from that snapshot: one
+  // failed SC + the helped exit.
+  interfered_apply(/*before_ll=*/false, 2);
   std::printf("  deterministic help paths  OK\n");
 }
 

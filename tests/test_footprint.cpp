@@ -1,15 +1,17 @@
 // Space-complexity shape checks (Theorem 1 / experiment E1): the paper's
 // algorithm is O(NW) shared words while the Anderson–Moir-style baseline is
 // O(N^2 W), so doubling N should roughly double jp and roughly quadruple
-// am. Fitted log-log exponents make the asymptotics explicit. jp's exact
-// layout is pinned too: one line for X, buffer rows two to a line when
-// W <= 4 and ceil(W/8) lines each otherwise, none straddling a line, and the
-// ring and announce words packed eight to a line.
+// am. Fitted log-log exponents make the asymptotics explicit. The exact
+// layouts are pinned too: core::RowPool's rows sit two to a line when
+// W <= 4 and ceil(W/8) lines each otherwise, none straddling a line; jp,
+// retry and am each pay one line for X plus their row pools, jp its ring
+// and announce words packed eight to a line, and am a line per announce.
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/rows.hpp"
 #include "sim/inspect.hpp"
 #include "test_check.hpp"
 
@@ -30,35 +32,54 @@ std::size_t lines_for(std::size_t words) { return (words + 7) / 8; }
 // A row's slot in words: half a line when W <= 4, else whole lines.
 std::size_t row_stride(std::size_t w) { return w <= 4 ? 4 : 8 * lines_for(w); }
 
-// jp's shared bytes and line placement at (N, W): the native object's
-// footprint, and the simulated twin's addresses through sim::Inspector
-// (the same template, so the same layout).
-void check_jp_layout(std::uint32_t n, std::uint32_t w) {
-  std::size_t r = 2;
-  while (r < n) r <<= 1;
-  const std::size_t rows = std::size_t{n} + r + 1;
-  const std::size_t bytes = 64 * (1 + lines_for(rows * row_stride(w)) +
-                                  lines_for(r) + lines_for(n));
-  auto native = bench::factory_by_name("jp").make(n, w);
-  CHECK_EQ(shared_bytes(*native), bytes);
-  const sim::Jp s(n, w);
-  CHECK_EQ(s.footprint().shared_bytes(), bytes);
-
-  using Peek = sim::Inspector<sim::Jp>;
-  CHECK_EQ(Peek::num_bufs(s), rows);
-  CHECK_EQ(Peek::ring_size(s), r);
-  const std::uintptr_t row0 = addr(Peek::row_addr(s, 0));
-  const std::uintptr_t ring0 = addr(Peek::ring_addr(s, 0));
-  const std::uintptr_t ann0 = addr(Peek::announce_addr(s, 0));
+// The row pool's placement: row b at b strides from a line-aligned start,
+// no row straddling a line, and exactly the lines its rows fill.
+void check_pool_layout(std::size_t rows, std::uint32_t w) {
+  const core::RowPool<> pool(rows, w);
+  CHECK_EQ(pool.words(), w);
+  CHECK_EQ(pool.bytes(), 64 * lines_for(rows * row_stride(w)));
+  const std::uintptr_t row0 = addr(pool.row(0));
   CHECK_EQ(row0 % 64, 0u);
-  CHECK_EQ(ring0 % 64, 0u);
-  CHECK_EQ(ann0 % 64, 0u);
-  for (std::uint32_t b = 0; b < rows; ++b) {
-    const std::uintptr_t row = addr(Peek::row_addr(s, b));
+  for (std::size_t b = 0; b < rows; ++b) {
+    const std::uintptr_t row = addr(pool.row(b));
     CHECK_EQ(row - row0, w <= 4 ? 32u * b : 64 * lines_for(w) * b);
     // No row straddles a line: it spans the fewest lines its W words can.
     CHECK(row % 64 + 8 * w <= 64 * lines_for(w));
   }
+}
+
+// Exact shared bytes of jp, retry and am at (N, W), natively and for the
+// simulated twins (the same templates, so the same layouts), plus jp's
+// pool placement and its ring and announce packing through sim::Inspector.
+void check_layouts(std::uint32_t n, std::uint32_t w) {
+  std::size_t r = 2;
+  while (r < n) r <<= 1;
+  const std::size_t rows = std::size_t{n} + r + 1;
+  const std::size_t jp_bytes = 64 * (1 + lines_for(rows * row_stride(w)) +
+                                     lines_for(r) + lines_for(n));
+  const std::size_t value_lines = lines_for((std::size_t{n} + 1) *
+                                            row_stride(w));
+  const std::size_t retry_bytes = 64 * (1 + value_lines);
+  const std::size_t am_bytes =
+      64 * (1 + value_lines +
+            lines_for(std::size_t{n} * n * row_stride(w)) + n);
+  CHECK_EQ(shared_bytes(*bench::factory_by_name("jp").make(n, w)), jp_bytes);
+  CHECK_EQ(shared_bytes(*bench::factory_by_name("retry").make(n, w)),
+           retry_bytes);
+  CHECK_EQ(shared_bytes(*bench::factory_by_name("am").make(n, w)), am_bytes);
+  const sim::Jp s(n, w);
+  CHECK_EQ(s.footprint().shared_bytes(), jp_bytes);
+  CHECK_EQ(sim::Retry(n, w).footprint().shared_bytes(), retry_bytes);
+  CHECK_EQ(sim::Am(n, w).footprint().shared_bytes(), am_bytes);
+
+  check_pool_layout(rows, w);
+  using Peek = sim::Inspector<sim::Jp>;
+  CHECK_EQ(Peek::num_bufs(s), rows);
+  CHECK_EQ(Peek::ring_size(s), r);
+  const std::uintptr_t ring0 = addr(Peek::ring_addr(s, 0));
+  const std::uintptr_t ann0 = addr(Peek::announce_addr(s, 0));
+  CHECK_EQ(ring0 % 64, 0u);
+  CHECK_EQ(ann0 % 64, 0u);
   for (std::uint32_t j = 0; j < r; ++j) {
     CHECK_EQ(addr(Peek::ring_addr(s, j)) - ring0, 8u * j);
   }
@@ -112,15 +133,18 @@ int main() {
   // W = 5..8 a whole one, and each further 8 words add a line per row.
   for (std::uint32_t n : {1u, 2u, 3u, 4u, 8u, 9u, 64u}) {
     for (std::uint32_t wl : {1u, 2u, 3u, 4u, 5u, 8u, 9u, 16u, 64u})
-      check_jp_layout(n, wl);
+      check_layouts(n, wl);
   }
-  // A few sizes worked out by hand, independent of the formula above:
+  // A few sizes worked out by hand, independent of the formulas above:
   // perfbench spread's object (N=3, W=4: 1 + 4 + 1 + 1 lines), hot's
-  // (N=3, W=7: 1 + 8 + 1 + 1), and the smallest and a large object.
-  struct Pin { std::uint32_t n, w; std::size_t bytes; };
-  for (const Pin& pin : {Pin{3, 4, 448}, Pin{3, 7, 704}, Pin{1, 1, 320},
-                         Pin{64, 64, 67136}}) {
-    CHECK_EQ(shared_bytes(*bench::factory_by_name("jp").make(pin.n, pin.w)),
+  // (N=3, W=7: 1 + 8 + 1 + 1), the smallest and a large jp object; retry
+  // at N=2, W=4 (1 + 2 lines), and am at N=2, W=1 (1 + 2 + 2 + 2).
+  struct Pin { const char* impl; std::uint32_t n, w; std::size_t bytes; };
+  for (const Pin& pin : {Pin{"jp", 3, 4, 448}, Pin{"jp", 3, 7, 704},
+                         Pin{"jp", 1, 1, 320}, Pin{"jp", 64, 64, 67136},
+                         Pin{"retry", 2, 4, 192}, Pin{"am", 2, 1, 448}}) {
+    CHECK_EQ(shared_bytes(*bench::factory_by_name(pin.impl).make(pin.n,
+                                                                 pin.w)),
              pin.bytes);
   }
 

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "baseline/am_llsc.hpp"
+#include "baseline/lock_llsc.hpp"
 #include "baseline/retry_llsc.hpp"
 #include "core/llsc.hpp"
 #include "core/mwllsc.hpp"
@@ -191,12 +192,15 @@ void process_limit() {
   CHECK(refused([] { core::MwLLSC<llsc::Engine> o(kOver, 1); }));
   CHECK(refused([] { baseline::AmLLSC<llsc::Engine> o(kOver, 1); }));
   CHECK(refused([] { baseline::RetryLLSC<llsc::Engine> o(kOver, 1); }));
+  CHECK(refused([] { baseline::LockLLSC o(0, 1); }));
+  CHECK(refused([] { baseline::LockLLSC o(kOver, 1); }));
   // Far past the limit: next_pow2 would overflow and spin if the check
   // did not run first.
   constexpr std::uint32_t kMax32 = UINT32_MAX;
   CHECK(refused([] { core::MwLLSC<llsc::Engine> o(kMax32, 1); }));
   CHECK(refused([] { baseline::AmLLSC<llsc::Engine> o(kMax32, 1); }));
   CHECK(refused([] { baseline::RetryLLSC<llsc::Engine> o(kMax32, 1); }));
+  CHECK(refused([] { baseline::LockLLSC o(kMax32, 1); }));
   CHECK(!refused([] { llsc::Engine e(llsc::kMaxProcs); }));
 }
 
