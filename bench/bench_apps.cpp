@@ -21,8 +21,8 @@
 // Run: ./bench_apps                  human tables
 //      ./bench_apps --json PATH      perf-trajectory snapshot (plus tables)
 //        [--smoke]                   reduced duration/threads for CI
-//        [--trace PATH]              Chrome-trace export
-//        [--metrics PATH]            Prometheus text (.json for JSON) export
+//        [--trace PATH]              Chrome-trace export, one line per event
+//        [--metrics PATH]            Prometheus text export
 #include <atomic>
 #include <cstdio>
 

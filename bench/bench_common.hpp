@@ -280,13 +280,7 @@ class ObsSession {
       }
     }
     if (!metrics_path_.empty()) {
-      const bool json =
-          metrics_path_.size() >= 5 &&
-          metrics_path_.compare(metrics_path_.size() - 5, 5, ".json") == 0;
-      const bool wrote =
-          json ? obs::write_metrics_json(metrics_path_, registry_, &err)
-               : obs::write_prometheus(metrics_path_, registry_, &err);
-      if (wrote) {
+      if (obs::write_prometheus(metrics_path_, registry_, &err)) {
         std::fprintf(stderr, "[obs] wrote %zu metric series to %s\n",
                      registry_.metrics().size(), metrics_path_.c_str());
       } else {

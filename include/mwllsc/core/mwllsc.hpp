@@ -453,7 +453,6 @@ class MwLLSC {
     me.retire_tag = kNoRetire;
     auto& c = stats_.at(p);
     c.bump(c.bank_writes);
-    trace_.emit<kTraced>(obs::EventKind::kBufferRetire, p, mytag, retired);
     trace_.emit<kTraced>(obs::EventKind::kBankWrite, p, mytag, retired);
   }
 

@@ -180,10 +180,12 @@ class ManagedMwLLSC {
     bool lock_held_ = false;
   };
 
-  ManagedMwLLSC(std::uint32_t slots, std::uint32_t words,
-                std::uint32_t join_retries = 2)
+  /// Claim passes join() makes after a full one failed, before it
+  /// degrades.
+  static constexpr std::uint32_t kJoinRetries = 2;
+
+  ManagedMwLLSC(std::uint32_t slots, std::uint32_t words)
       : slots_(slots),
-        join_retries_(join_retries),
         impl_(slots + 1, words),
         reg_(slots) {
     assert(slots >= 1);
@@ -191,7 +193,7 @@ class ManagedMwLLSC {
 
   /// Acquires a session. Wait-free while a slot is FREE or ORPHANED (one
   /// claim pass, which adopts an orphan in one CAS). Under
-  /// exhaustion: up to `join_retries` more passes, then the degraded
+  /// exhaustion: up to kJoinRetries more passes, then the degraded
   /// lock-serialized session. Never fails, never blocks.
   Session join() {
     for (std::uint32_t attempt = 0;; ++attempt) {
@@ -203,7 +205,7 @@ class ManagedMwLLSC {
         trace_.emit(obs::EventKind::kProcJoin, s, reg_.generation(s), 0);
         return Session(this, ProcessSlot(&reg_, s));
       }
-      if (attempt >= join_retries_) break;
+      if (attempt >= kJoinRetries) break;
       c_.join_retries.fetch_add(1, std::memory_order_relaxed);
     }
     {
@@ -303,7 +305,6 @@ class ManagedMwLLSC {
   };
 
   const std::uint32_t slots_;
-  const std::uint32_t join_retries_;
   Impl impl_;
   SlotRegistry reg_;
   util::Mutex degraded_mu_;  ///< spans a degraded session's LL..SC window

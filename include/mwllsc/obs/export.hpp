@@ -1,19 +1,19 @@
 // Exporters and the offline trace checker (DESIGN.md §8).
 //
 // * write_chrome_trace — Chrome-trace / Perfetto JSON of a collected
-//   TraceData: one track per process id, LL and SC rendered as complete
-//   ("X") duration events with their inner detail in args, the remaining
-//   protocol events as instants, and flow events linking every
-//   help_install to the ll_helped / ll_rescue that consumed the donated
-//   buffer on the helpee's track. One traceEvents entry per line, so the
-//   loader below can parse it without a JSON library.
+//   TraceData, one line per recorded event in ring order, each carrying
+//   its kind, var, tag and arg in args. One track per process id: LL and
+//   SC openers are "B" lines and their closes "E" lines, so a viewer draws
+//   LL/SC slices; every other event is an instant ("i"). Flow arrows link each help_install to the ll_helped /
+//   ll_rescue that consumed the donated buffer on the helpee's track.
 //
 // * load_chrome_trace — reads that exporter's output back into a
-//   TraceData (X events are expanded to their start/slow/retry/end markers
-//   in place), making an exported file a third correctness oracle: the same
-//   checker runs on live rings and on a file from another machine. A file
-//   without the exporter's schema_version header, or with a tid that is
-//   not a valid pid, fails to load.
+//   TraceData equal to the recorded one event for event, making an
+//   exported file a third correctness oracle: the same checker runs on
+//   live rings and on a file from another machine. A file without the
+//   exporter's schema_version header (or with another version), with an
+//   unknown event kind, or with a tid that is not a valid pid, fails to
+//   load.
 //
 // * check_trace — replays per-pid event streams and re-verifies, from
 //   events alone: the 4W+12 LL step bound and zero defensive retries for
@@ -21,18 +21,20 @@
 //   bank write per successful SC (invariant I2) for every variable that
 //   emits bank writes, and the <= 3 LL/SC rounds bound of the apps-layer
 //   help-all construction. Membership lifecycle events are cross-checked
-//   too: pid leases must not overlap (join while live), neither retire nor
-//   crash reclaim may leave an LL window open, and a retired or abandoned
-//   pid must not emit protocol events until its next join — traces from
-//   before the lifecycle layer carry no such events and are checked
-//   exactly as before. Ring truncation is tolerated as a missing *prefix*
-//   (orphan closes/bank-writes are skipped while dropped > 0).
+//   too: pid leases must not overlap (join while live), only a live pid
+//   may retire or abandon, neither may leave an LL window open, and a
+//   retired or abandoned pid must not emit protocol events until its next
+//   join — traces from before the lifecycle layer carry no such events
+//   and are checked exactly as before. Ring truncation is tolerated as a
+//   missing *prefix* (orphan closes/bank-writes are skipped while
+//   dropped > 0).
 //
-// * write_prometheus / write_metrics_json — text + JSON export of a
-//   MetricsRegistry.
+// * write_prometheus — Prometheus text export of a MetricsRegistry.
 #pragma once
 
+#include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -48,7 +50,7 @@
 
 namespace mwllsc::obs {
 
-inline constexpr std::uint32_t kTraceSchemaVersion = 4;
+inline constexpr std::uint32_t kTraceSchemaVersion = 5;
 
 // ------------------------------------------------------------------ checker
 
@@ -148,27 +150,22 @@ inline TraceCheckResult check_trace(const TraceData& d) {
         dead_use_reported = false;
         continue;
       }
-      if (k == EventKind::kProcRetire) {
-        ++r.retires;
+      // A crash reclaim is emitted by the abandoning holder into its own
+      // stream, before its abandon CAS: like a retire, it ends a live
+      // lease at an op boundary, and the pid starts over clean.
+      const bool retire = k == EventKind::kProcRetire;
+      if (retire || k == EventKind::kProcCrashReclaim) {
+        ++(retire ? r.retires : r.crash_reclaims);
         if (e.arg != 1) {
           if (live == Live::kDead) {
             std::snprintf(msg, sizeof(msg),
-                          "pid %zu: proc_retire of a pid that is not live",
-                          pid);
+                          "pid %zu: %s of a pid that is not live", pid,
+                          event_name(k));
             r.violations.push_back(msg);
           }
-          check_no_open_ll("retired");
+          check_no_open_ll(retire ? "retired" : "abandoned");
           live = Live::kDead;
         }
-        vs.clear();
-        continue;
-      }
-      if (k == EventKind::kProcCrashReclaim) {
-        // Emitted by the abandoning holder into its own stream, before its
-        // abandon CAS: the pid owes nothing, so it starts over clean.
-        ++r.crash_reclaims;
-        check_no_open_ll("abandoned");
-        live = Live::kDead;
         vs.clear();
         continue;
       }
@@ -317,7 +314,8 @@ inline bool close_written(std::FILE* f, const std::string& path,
 }
 
 /// Writes the collected trace as Chrome-trace JSON (open in Perfetto /
-/// chrome://tracing). Returns false and fills *err on I/O failure.
+/// chrome://tracing): one line per recorded event, in ring order, with all
+/// of its fields. Returns false and fills *err on I/O failure.
 inline bool write_chrome_trace(const std::string& path, const TraceData& d,
                                std::string* err = nullptr) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -341,7 +339,7 @@ inline bool write_chrome_trace(const std::string& path, const TraceData& d,
                  pid, pid);
   }
 
-  // First pass: where does each donation land? (flow targets)
+  // Where does each donation land? (flow targets)
   std::map<std::uint64_t, std::uint64_t> consume_tsc;  // flow id -> tsc
   for (const auto& stream : d.per_pid) {
     for (const TraceEvent& e : stream) {
@@ -353,97 +351,43 @@ inline bool write_chrome_trace(const std::string& path, const TraceData& d,
   }
 
   for (std::size_t pid = 0; pid < d.per_pid.size(); ++pid) {
-    const auto& stream = d.per_pid[pid];
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      const TraceEvent& e = stream[i];
+    for (const TraceEvent& e : d.per_pid[pid]) {
       const auto k = static_cast<EventKind>(e.kind);
-
-      // LL / SC windows become "X" complete events; their close marker is
-      // consumed here, inner instants fall through to the instant case on
-      // later iterations (they sit inside the duration visually).
-      if (k == EventKind::kLlStart || k == EventKind::kScAttempt) {
-        const bool is_ll = k == EventKind::kLlStart;
-        std::uint32_t retries = 0;
-        std::uint32_t slow = 0;
-        std::size_t close = stream.size();
-        for (std::size_t j = i + 1; j < stream.size(); ++j) {
-          const auto kj = static_cast<EventKind>(stream[j].kind);
-          if (stream[j].var != e.var) continue;
-          if (is_ll && kj == EventKind::kLlRetry) ++retries;
-          if (is_ll && kj == EventKind::kLlSlow) slow = 1;
-          if ((is_ll && (kj == EventKind::kLlFast ||
-                         kj == EventKind::kLlRescue)) ||
-              (!is_ll && (kj == EventKind::kScCommit ||
-                          kj == EventKind::kScFail))) {
-            close = j;
-            break;
-          }
-          if ((is_ll && kj == EventKind::kLlStart) ||
-              (!is_ll && kj == EventKind::kScAttempt)) {
-            break;  // window never closed (shouldn't happen)
-          }
-        }
-        if (close < stream.size()) {
-          const TraceEvent& c = stream[close];
-          const auto ck = static_cast<EventKind>(c.kind);
-          const double ts = detail::us_of(d, e.tsc);
-          const double dur = detail::us_of(d, c.tsc) - ts;
-          sep();
-          std::fprintf(
-              f,
-              "{\"ph\":\"X\",\"name\":\"%s(%s)\",\"cat\":\"mwllsc\","
-              "\"pid\":0,\"tid\":%zu,\"ts\":%.3f,\"dur\":%.3f,"
-              "\"args\":{\"k\":\"%s\",\"end\":\"%s\",\"slow\":%u,"
-              "\"retries\":%u,\"var\":%u,\"tag\":%" PRIu64 ",\"arg\":%u}}",
-              is_ll ? "LL" : "SC",
-              ck == EventKind::kLlFast     ? "fast"
-              : ck == EventKind::kLlRescue ? "helped"
-              : ck == EventKind::kScCommit ? "commit"
-                                           : "fail",
-              pid, ts, dur < 0 ? 0.0 : dur, is_ll ? "ll" : "sc",
-              event_name(ck), slow, retries, e.var, c.tag, c.arg);
-          continue;  // the close marker is skipped below
-        }
-        // Unclosed window (end of ring): fall through as an instant.
+      // LL and SC openers begin a slice, their closes end it, and every
+      // other event is an instant.
+      const char* ph = "i";
+      const char* name = event_name(k);
+      switch (k) {
+        case EventKind::kLlStart:
+          ph = "B";
+          name = "LL";
+          break;
+        case EventKind::kScAttempt:
+          ph = "B";
+          name = "SC";
+          break;
+        case EventKind::kLlFast:
+        case EventKind::kLlRescue:
+          ph = "E";
+          name = "LL";
+          break;
+        case EventKind::kScCommit:
+        case EventKind::kScFail:
+          ph = "E";
+          name = "SC";
+          break;
+        default:
+          break;
       }
-      if ((k == EventKind::kLlFast || k == EventKind::kLlRescue ||
-           k == EventKind::kScCommit || k == EventKind::kScFail)) {
-        // Close markers are folded into their X event; one that reaches
-        // here is an orphan from an evicted prefix — keep it as an
-        // instant so the loader round-trips it.
-        bool orphan = true;
-        for (std::size_t j = i; j-- > 0;) {
-          const auto kj = static_cast<EventKind>(stream[j].kind);
-          if (stream[j].var != e.var) continue;
-          if (kj == EventKind::kLlStart || kj == EventKind::kScAttempt) {
-            // A window opener earlier in the stream claimed this close iff
-            // no other close sits between them; the X scan above is
-            // exactly that, so mirror it cheaply: the opener scan stopped
-            // at the *first* close. Being the first close after an opener
-            // of the right kind means not orphan.
-            const bool opener_is_ll = kj == EventKind::kLlStart;
-            const bool close_is_ll = k == EventKind::kLlFast ||
-                                     k == EventKind::kLlRescue;
-            if (opener_is_ll == close_is_ll) orphan = false;
-            break;
-          }
-          if (kj == EventKind::kLlFast || kj == EventKind::kLlRescue ||
-              kj == EventKind::kScCommit || kj == EventKind::kScFail) {
-            break;  // another close intervenes: we're orphaned
-          }
-        }
-        if (!orphan) continue;
-      }
-
-      // Instant event.
       sep();
       std::fprintf(f,
-                   "{\"ph\":\"i\",\"name\":\"%s\",\"cat\":\"mwllsc\","
-                   "\"s\":\"t\",\"pid\":0,\"tid\":%zu,\"ts\":%.3f,"
+                   "{\"ph\":\"%s\",\"name\":\"%s\",\"cat\":\"mwllsc\",%s"
+                   "\"pid\":0,\"tid\":%zu,\"ts\":%.3f,"
                    "\"args\":{\"k\":\"%s\",\"var\":%u,\"tag\":%" PRIu64
                    ",\"arg\":%u}}",
-                   event_name(k), pid, detail::us_of(d, e.tsc),
-                   event_name(k), e.var, e.tag, e.arg);
+                   ph, name, *ph == 'i' ? "\"s\":\"t\"," : "", pid,
+                   detail::us_of(d, e.tsc), event_name(k), e.var, e.tag,
+                   e.arg);
 
       // A donation grows a flow arrow to the helpee's track.
       if (k == EventKind::kHelpInstall) {
@@ -510,10 +454,13 @@ inline bool find_str(const std::string& s, const char* key,
 }  // namespace detail
 
 /// Parses write_chrome_trace output (one traceEvents entry per line) back
-/// into a TraceData; "X" windows are expanded to their start/slow/retry/
-/// close markers in place, so check_trace sees the same per-pid streams it
-/// would on live rings. Timestamps come back in nanoseconds (ns_per_tick =
-/// 1).
+/// into a TraceData: every line with a "k" arg is one event, appended to
+/// its tid's stream, so the result equals the recorded streams event for
+/// event. Timestamps come back in nanoseconds (ns_per_tick = 1). A file
+/// with another schema_version (or none), an unknown event kind, or a tid
+/// that is not a pid fails to load. The version sits in the footer, so an
+/// unknown kind is reported only once the version has been read: a file
+/// of another schema fails on its schema_version, not on its kinds.
 inline bool load_chrome_trace(const std::string& path, TraceData* out,
                               std::string* err = nullptr) {
   std::FILE* f = std::fopen(path.c_str(), "r");
@@ -523,20 +470,16 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
   }
   *out = TraceData{};
   out->ns_per_tick = 1.0;
-
-  auto kind_of = [](const std::string& name) -> int {
-    for (std::size_t k = 0; k < static_cast<std::size_t>(EventKind::kCount);
-         ++k) {
-      if (name == event_name(static_cast<EventKind>(k))) {
-        return static_cast<int>(k);
-      }
-    }
-    return -1;
+  auto fail = [&](const std::string& why) {
+    std::fclose(f);
+    if (err) *err = why;
+    return false;
   };
 
   char buf[2048];
   bool in_vars = false;
   bool has_header = false;
+  std::string unknown;  // first event kind not in EventKind
   while (std::fgets(buf, sizeof(buf), f)) {
     std::string line(buf);
 
@@ -556,6 +499,11 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
     }
     std::uint64_t u = 0;
     if (detail::find_u64(line, "\"schema_version\": ", &u)) {
+      if (u != kTraceSchemaVersion) {
+        return fail("schema_version " + std::to_string(u) +
+                    " is not the supported " +
+                    std::to_string(kTraceSchemaVersion));
+      }
       has_header = true;
       continue;
     }
@@ -571,74 +519,53 @@ inline bool load_chrome_trace(const std::string& path, TraceData* out,
       continue;
     }
 
-    std::string ph;
-    if (!detail::find_str(line, "\"ph\":\"", &ph)) continue;
-    if (ph != "X" && ph != "i") continue;  // flows/metadata carry no state
-
+    std::string name;
+    if (!detail::find_str(line, "\"k\":\"", &name)) continue;  // flows, names
+    std::size_t k = 0;
+    while (k < static_cast<std::size_t>(EventKind::kCount) &&
+           name != event_name(static_cast<EventKind>(k))) {
+      ++k;
+    }
+    if (k == static_cast<std::size_t>(EventKind::kCount)) {
+      if (unknown.empty()) unknown = name;  // reported after the version
+      continue;
+    }
     std::uint64_t tid = 0, var = 0, tag = 0, arg = 0;
     detail::find_u64(line, "\"tid\":", &tid);
     detail::find_u64(line, "\"var\":", &var);
     detail::find_u64(line, "\"tag\":", &tag);
     detail::find_u64(line, "\"arg\":", &arg);
     if (tid >= llsc::kMaxProcs) {  // not a pid; TraceEvent::pid is 16 bits
-      std::fclose(f);
-      if (err) *err = "tid " + std::to_string(tid) + " out of range";
-      return false;
+      return fail("tid " + std::to_string(tid) + " out of range");
     }
     const auto ts_pos = line.find("\"ts\":");
-    const double ts_us =
-        ts_pos == std::string::npos
-            ? 0.0
-            : std::strtod(line.c_str() + ts_pos + 5, nullptr);
-
+    TraceEvent e;
+    e.tsc = ts_pos == std::string::npos
+                ? 0
+                : static_cast<std::uint64_t>(std::llround(
+                      std::strtod(line.c_str() + ts_pos + 5, nullptr) *
+                      1000.0));
+    e.tag = tag;
+    e.var = static_cast<std::uint32_t>(var);
+    e.arg = static_cast<std::uint32_t>(arg);
+    e.kind = static_cast<std::uint16_t>(k);
+    e.pid = static_cast<std::uint16_t>(tid);
     if (out->per_pid.size() <= tid) out->per_pid.resize(tid + 1);
-    auto& stream = out->per_pid[tid];
-    auto push = [&](EventKind k, double at_us) {
-      TraceEvent e;
-      e.tsc = static_cast<std::uint64_t>(at_us * 1000.0);
-      e.tag = tag;
-      e.var = static_cast<std::uint32_t>(var);
-      e.arg = static_cast<std::uint32_t>(arg);
-      e.kind = static_cast<std::uint16_t>(k);
-      e.pid = static_cast<std::uint16_t>(tid);
-      stream.push_back(e);
-    };
-
-    if (ph == "X") {
-      std::string end;
-      std::uint64_t retries = 0, slow = 0;
-      detail::find_str(line, "\"end\":\"", &end);
-      detail::find_u64(line, "\"retries\":", &retries);
-      detail::find_u64(line, "\"slow\":", &slow);
-      const int close = kind_of(end);
-      if (close < 0) continue;
-      const bool is_ll = end == "ll_fast" || end == "ll_rescue";
-      const auto dur_pos = line.find("\"dur\":");
-      const double dur_us =
-          dur_pos == std::string::npos
-              ? 0.0
-              : std::strtod(line.c_str() + dur_pos + 6, nullptr);
-      push(is_ll ? EventKind::kLlStart : EventKind::kScAttempt, ts_us);
-      if (slow) push(EventKind::kLlSlow, ts_us);
-      for (std::uint64_t i = 0; i < retries; ++i) {
-        push(EventKind::kLlRetry, ts_us);
-      }
-      push(static_cast<EventKind>(close), ts_us + dur_us);
-    } else {
-      std::string name;
-      detail::find_str(line, "\"name\":\"", &name);
-      const int k = kind_of(name);
-      if (k >= 0) push(static_cast<EventKind>(k), ts_us);
-    }
+    out->per_pid[tid].push_back(e);
   }
   std::fclose(f);
   if (!has_header) {
     if (err) *err = "no schema_version header: not a write_chrome_trace file";
     return false;
   }
-  if (out->dropped.size() < out->per_pid.size()) {
-    out->dropped.resize(out->per_pid.size(), 0);
+  if (!unknown.empty()) {
+    if (err) *err = "unknown event kind \"" + unknown + "\"";
+    return false;
   }
+  // Every pid has a dropped count, events or not.
+  const std::size_t n = std::max(out->per_pid.size(), out->dropped.size());
+  out->per_pid.resize(n);
+  out->dropped.resize(n, 0);
   return true;
 }
 
@@ -686,39 +613,6 @@ inline bool write_prometheus(const std::string& path,
       series(base, "", m.value);
     }
   }
-  return close_written(f, path, err);
-}
-
-inline bool write_metrics_json(const std::string& path,
-                               const MetricsRegistry& reg,
-                               std::string* err = nullptr) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    if (err) *err = "cannot open " + path;
-    return false;
-  }
-  std::fprintf(f, "{\n  \"schema_version\": %u,\n  \"metrics\": [\n",
-               kTraceSchemaVersion);
-  std::size_t i = 0;
-  const auto& all = reg.metrics();
-  for (const auto& [key, m] : all) {
-    std::fprintf(f, "    {\"name\": \"%s\", \"type\": \"%s\", ",
-                 key.c_str(),
-                 m.type == MetricsRegistry::Type::kCounter ? "counter"
-                 : m.type == MetricsRegistry::Type::kGauge ? "gauge"
-                                                           : "histogram");
-    if (m.type == MetricsRegistry::Type::kHistogram) {
-      std::fprintf(f,
-                   "\"p50\": %" PRIu64 ", \"p99\": %" PRIu64
-                   ", \"max\": %" PRIu64 ", \"count\": %" PRIu64 "}",
-                   m.hist.percentile(0.5), m.hist.percentile(0.99),
-                   m.hist.max(), m.hist.count());
-    } else {
-      std::fprintf(f, "\"value\": %.17g}", m.value);
-    }
-    std::fprintf(f, "%s\n", ++i < all.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
   return close_written(f, path, err);
 }
 

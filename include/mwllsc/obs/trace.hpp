@@ -51,8 +51,7 @@ enum class EventKind : std::uint16_t {
   kScCommit,        ///< SC installed                    (tag = new version)
   kScFail,          ///< SC failed (semantic)
   kHelpInstall,     ///< SC donated a buffer pre-SC      (arg = helpee pid)
-  kBankWrite,       ///< the one-per-SC retirement write (invariant I2)
-  kBufferRetire,    ///< buffer pushed through the ring  (arg = buffer id)
+  kBankWrite,       ///< the one-per-SC bank write, I2   (arg = buffer id)
   kAnnounce,        ///< apps: op published              (tag = op seq)
   kHelpAll,         ///< apps: help-all pass ran         (arg = ops applied)
   kApplyCommit,     ///< apps: apply finished            (arg = attempts)
@@ -64,10 +63,13 @@ enum class EventKind : std::uint16_t {
 
 inline const char* event_name(EventKind k) {
   static const char* names[] = {
-      "ll_start",  "ll_fast",   "ll_helped",    "ll_rescue",     "ll_retry",
-      "ll_slow",   "sc_attempt", "sc_commit",   "sc_fail",       "help_install",
-      "bank_write", "buffer_retire", "announce", "help_all",     "apply_commit",
-      "proc_join", "proc_retire", "proc_crash_reclaim"};
+      "ll_start",   "ll_fast",    "ll_helped",   "ll_rescue",
+      "ll_retry",   "ll_slow",    "sc_attempt",  "sc_commit",
+      "sc_fail",    "help_install", "bank_write", "announce",
+      "help_all",   "apply_commit", "proc_join",  "proc_retire",
+      "proc_crash_reclaim"};
+  static_assert(sizeof(names) / sizeof(names[0]) ==
+                static_cast<std::size_t>(EventKind::kCount));
   const auto i = static_cast<std::size_t>(k);
   return i < static_cast<std::size_t>(EventKind::kCount) ? names[i] : "?";
 }

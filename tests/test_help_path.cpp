@@ -27,14 +27,20 @@
 //
 // In every case the reader's link is broken (its SC fails), and the object
 // stays fully functional afterwards: the JpChecker holds I1, I2 and the
-// oracle through the rest of both scripts.
+// oracle through the rest of both scripts. A TraceSink records every run;
+// the two donation schedules are the only ones that record ll_slow,
+// ll_helped, ll_rescue and help_install, so their traces must also come
+// back from a trace file event for event and pass check_trace there.
 #include <cstdint>
 #include <cstdio>
 #include <vector>
 
+#include "obs/export.hpp"
+#include "obs/trace.hpp"
 #include "sim/harness.hpp"
 #include "sim/invariants.hpp"
 #include "test_check.hpp"
+#include "trace_file.hpp"
 
 using namespace mwllsc;
 using namespace mwllsc::sim;
@@ -47,6 +53,7 @@ struct Outcome {
   OpRecord ll;                                   // the stalled reader's LL
   std::vector<std::vector<std::uint64_t>> vals;  // version -> value
   core::OpStatsSnapshot stats;                   // right after that LL
+  obs::TraceData trace;                          // the whole run
 };
 
 Outcome stalled_ll(std::uint32_t first_scs, std::uint32_t second_scs) {
@@ -55,6 +62,8 @@ Outcome stalled_ll(std::uint32_t first_scs, std::uint32_t second_scs) {
   cfg.vl_percent = 0;
   SimWorkload<Jp> wl(2, kW, cfg);
   JpChecker chk(wl);
+  obs::TraceSink sink(2);
+  wl.object().set_trace(&sink, 0);
   const Jp& obj = wl.object();
   Outcome out;
   out.vals.push_back(Inspector<Jp>::current_value(obj));
@@ -103,7 +112,32 @@ Outcome stalled_ll(std::uint32_t first_scs, std::uint32_t second_scs) {
   if (!chk.ok()) std::fprintf(stderr, "checker: %s\n", chk.error().c_str());
   CHECK(chk.ok());
   CHECK(obj.stats().sc_success > first_scs + second_scs);
+  out.trace = sink.collect();
   return out;
+}
+
+/// Events of kind `k` in the run's trace.
+std::size_t count(const obs::TraceData& d, obs::EventKind k) {
+  std::size_t n = 0;
+  for (const auto& stream : d.per_pid) {
+    for (const auto& e : stream) n += e.kind == static_cast<std::uint16_t>(k);
+  }
+  return n;
+}
+
+/// The slow-path events survive the trace file verbatim, and the checker
+/// passes them there: the jp LL bound and I2 hold on the loaded streams.
+void check_trace_file(const obs::TraceData& d, const char* path) {
+  const obs::TraceData loaded = round_trip(d, path);
+  const auto r = obs::check_trace(loaded);
+  if (!r.ok()) {
+    for (const auto& v : r.violations)
+      std::fprintf(stderr, "  %s\n", v.c_str());
+  }
+  CHECK(r.ok());
+  CHECK(!r.truncated);
+  CHECK_EQ(r.sc_commits, r.bank_writes);
+  CHECK(r.max_ll_steps <= 4 * kW + 12);
 }
 
 // Drift 3 > P on both attempts: the rescue path. The reader must return
@@ -121,6 +155,11 @@ void rescue_path() {
   // returns, after exactly 3W+6 shared accesses.
   CHECK(o.ll.value == o.vals[3]);
   CHECK_EQ(o.ll.steps, 3 * kW + 6);
+  CHECK_EQ(count(o.trace, obs::EventKind::kLlSlow), 1u);
+  CHECK_EQ(count(o.trace, obs::EventKind::kLlHelped), 0u);  // rescue instead
+  CHECK_EQ(count(o.trace, obs::EventKind::kLlRescue), 1u);
+  CHECK_EQ(count(o.trace, obs::EventKind::kHelpInstall), 1u);
+  check_trace_file(o.trace, "test_help_path_rescue.json");
 }
 
 // Drift 2 = P on the announced attempt: aged validation still passes — the
@@ -136,6 +175,11 @@ void aged_pass_with_donation() {
   CHECK_EQ(o.stats.ll_used_helped_value, 0u);
   CHECK_EQ(o.stats.ll_retries, 0u);
   CHECK_EQ(o.ll.steps, (kW + 2) + (kW + 4));
+  CHECK_EQ(count(o.trace, obs::EventKind::kLlSlow), 1u);
+  CHECK_EQ(count(o.trace, obs::EventKind::kLlHelped), 1u);
+  CHECK_EQ(count(o.trace, obs::EventKind::kLlRescue), 0u);
+  CHECK_EQ(count(o.trace, obs::EventKind::kHelpInstall), 1u);
+  check_trace_file(o.trace, "test_help_path_donation.json");
 }
 
 // Drift 1 < P on the announced attempt with no donation (tag 5's winner

@@ -19,6 +19,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "test_check.hpp"
+#include "trace_file.hpp"
 
 using namespace mwllsc;
 using membership::ManagedMwLLSC;
@@ -325,21 +326,17 @@ void traced_lifecycle() {
   CHECK_EQ(r.crash_reclaims, 1u);
 
   // Lifecycle events survive the file round-trip with the same verdict.
-  const std::string path = "test_membership_trace.json";
-  CHECK(obs::write_chrome_trace(path, data));
-  obs::TraceData loaded;
-  CHECK(obs::load_chrome_trace(path, &loaded));
-  const auto r2 = obs::check_trace(loaded);
+  const auto r2 =
+      obs::check_trace(round_trip(data, "test_membership_trace.json"));
   CHECK(r2.ok());
   CHECK_EQ(r2.joins, r.joins);
   CHECK_EQ(r2.retires, r.retires);
   CHECK_EQ(r2.crash_reclaims, r.crash_reclaims);
-  std::remove(path.c_str());
 }
 
 // The checker's lifecycle rules, on hand-built streams: leases must not
-// overlap, neither retire nor crash reclaim may leave an LL open, dead
-// pids stay silent.
+// overlap, only a live pid retires or abandons, neither may leave an LL
+// open, dead pids stay silent.
 obs::TraceEvent ev(obs::EventKind k, std::uint32_t pid, std::uint64_t tsc,
                    std::uint32_t arg = 0) {
   obs::TraceEvent e{};
@@ -394,6 +391,18 @@ void checker_lifecycle_rules() {
           std::string::npos);
     d.dropped[0] = 1;  // a truncated ring may have lost the close
     CHECK(obs::check_trace(d).ok());
+  }
+  {  // a crash reclaim from a pid that already retired or abandoned
+    for (const EventKind end :
+         {EventKind::kProcRetire, EventKind::kProcCrashReclaim}) {
+      obs::TraceData d = base();
+      d.per_pid[0] = {ev(EventKind::kProcJoin, 0, 1), ev(end, 0, 2),
+                      ev(EventKind::kProcCrashReclaim, 0, 3)};
+      const auto r = obs::check_trace(d);
+      CHECK_EQ(r.violations.size(), std::size_t{1});
+      CHECK(r.violations[0].find("proc_crash_reclaim of a pid that is not "
+                                 "live") != std::string::npos);
+    }
   }
   {  // protocol activity after retire
     obs::TraceData d = base();

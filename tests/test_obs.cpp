@@ -4,14 +4,16 @@
 //   * live tracing of the real protocol under threads, replayed through
 //     check_trace: the 4W+12 bound and I2 re-verified from events alone;
 //   * exporter round-trip — write_chrome_trace -> load_chrome_trace must
-//     hand the checker the same windows the live rings did;
+//     return the recorded streams event for event, on a live run and on a
+//     synthetic stream that holds every event kind;
 //   * truncated traces pass (prefix loss is not a violation), and an
 //     empty one checks clean;
 //   * the checker actually rejects bad traces (synthetic violations);
-//   * the loader rejects files the exporter did not write and tids that
-//     are not pids, and trace_check fails a file with no events;
+//   * the loader rejects files the exporter did not write, another schema
+//     version, unknown event kinds and tids that are not pids, and
+//     trace_check fails a file with no events;
 //   * apps-layer events and the <= 3-round apply bound;
-//   * MetricsRegistry absorption + Prometheus/JSON export;
+//   * MetricsRegistry absorption + Prometheus export;
 //   * every exporter reports a write lost to a full disk.
 #include <sys/wait.h>
 
@@ -28,21 +30,11 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "test_check.hpp"
+#include "trace_file.hpp"
 
 using namespace mwllsc;
 
 namespace {
-
-std::string slurp(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  CHECK(f != nullptr);
-  std::string out;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) out.append(buf, n);
-  std::fclose(f);
-  return out;
-}
 
 obs::TraceEvent ev(obs::EventKind k, std::uint16_t pid, std::uint32_t var,
                    std::uint64_t tag = 0, std::uint32_t arg = 0) {
@@ -146,18 +138,7 @@ obs::TraceData traced_protocol_mt() {
 }
 
 void export_roundtrip(const obs::TraceData& d) {
-  const std::string path = "test_obs_trace.json";
-  std::string err;
-  CHECK(obs::write_chrome_trace(path, d, &err));
-
-  obs::TraceData loaded;
-  CHECK(obs::load_chrome_trace(path, &loaded, &err));
-  CHECK_EQ(loaded.vars.size(), d.vars.size());
-  CHECK_EQ(loaded.per_pid.size(), d.per_pid.size());
-  const obs::TraceData::VarInfo* info = loaded.var_info(0);
-  CHECK(info != nullptr);
-  CHECK_EQ(info->words, d.var_info(0)->words);
-  CHECK(info->label == d.var_info(0)->label);
+  const obs::TraceData loaded = round_trip(d, "test_obs_trace.json");
 
   // The file is a third correctness oracle: the checker must reach the
   // same verdict and the same window counts it reached on the live rings.
@@ -172,11 +153,43 @@ void export_roundtrip(const obs::TraceData& d) {
   CHECK_EQ(file.sc_commits, live.sc_commits);
   CHECK_EQ(file.bank_writes, live.bank_writes);
   CHECK_EQ(file.max_ll_steps, live.max_ll_steps);
+}
 
-  const std::string text = slurp(path);
-  CHECK(text.find("\"schema_version\"") != std::string::npos);
-  CHECK(text.find("\"traceEvents\"") != std::string::npos);
-  std::remove(path.c_str());
+/// One synthetic stream per pid that, between them, hold every event kind
+/// with payloads at the edges of their fields. Pid 0's ring lost its
+/// prefix, so its stream opens with an orphan close.
+void every_kind_roundtrip() {
+  using K = obs::EventKind;
+  constexpr std::uint64_t kBigTag = ~std::uint64_t{0} - 1;
+  constexpr std::uint32_t kBigArg = ~std::uint32_t{0};
+  obs::TraceData d;
+  d.vars = {{0, 4, "jp w=4"}, {7, 64, "am w=64"}};
+  d.dropped = {3, 0};
+  d.per_pid = {
+      {ev(K::kLlFast, 0, 0, 9), ev(K::kBankWrite, 0, 0, 9, 2),
+       ev(K::kLlStart, 0, 0, 10), ev(K::kLlSlow, 0, 0, 11),
+       ev(K::kLlHelped, 0, 0, 11), ev(K::kLlRescue, 0, 0, 11),
+       ev(K::kScAttempt, 0, 0, 0, 1), ev(K::kScFail, 0, 0),
+       ev(K::kProcCrashReclaim, 0, 0, 4)},
+      {ev(K::kProcJoin, 1, 7, 2), ev(K::kAnnounce, 1, 7, kBigTag),
+       ev(K::kLlStart, 1, 7, 1), ev(K::kLlRetry, 1, 7),
+       ev(K::kLlFast, 1, 7, 5), ev(K::kScAttempt, 1, 7, 0, 1),
+       ev(K::kHelpInstall, 1, 7, 11, 0), ev(K::kScCommit, 1, 7, 6),
+       ev(K::kBankWrite, 1, 7, 6, kBigArg), ev(K::kHelpAll, 1, 7, 0, 3),
+       ev(K::kApplyCommit, 1, 7, 1, 2), ev(K::kProcRetire, 1, 7, 2)},
+  };
+  std::vector<bool> seen(static_cast<std::size_t>(K::kCount), false);
+  for (const auto& stream : d.per_pid) {
+    for (const auto& e : stream) seen[e.kind] = true;
+  }
+  for (std::size_t k = 0; k < seen.size(); ++k) {
+    if (!seen[k]) {
+      std::fprintf(stderr, "no %s event in the synthetic stream\n",
+                   obs::event_name(static_cast<K>(k)));
+    }
+    CHECK(seen[k]);
+  }
+  round_trip(d, "test_obs_every_kind.json");
 }
 
 void truncation_tolerated() {
@@ -200,15 +213,9 @@ void truncation_tolerated() {
   CHECK(r.truncated);
 
   // And the truncation survives the file round-trip.
-  const std::string path = "test_obs_trunc.json";
-  CHECK(obs::write_chrome_trace(path, d));
-  obs::TraceData loaded;
-  CHECK(obs::load_chrome_trace(path, &loaded));
-  CHECK(loaded.dropped.size() == 1 && loaded.dropped[0] > 0);
-  const auto r2 = obs::check_trace(loaded);
+  const auto r2 = obs::check_trace(round_trip(d, "test_obs_trunc.json"));
   CHECK(r2.ok());
   CHECK(r2.truncated);
-  std::remove(path.c_str());
 }
 
 void empty_trace_checks_clean() {
@@ -361,16 +368,11 @@ void apps_trace() {
   CHECK_EQ(r.applies_checked, kThreads * kOps);
   CHECK(r.lls_checked > 0);  // substrate events share the rings
 
-  // Round-trip the apps trace too (announce/help_all/apply_commit are
-  // instants; the loader must restore them for applies_checked to match).
-  const std::string path = "test_obs_apps.json";
-  CHECK(obs::write_chrome_trace(path, d));
-  obs::TraceData loaded;
-  CHECK(obs::load_chrome_trace(path, &loaded));
-  const auto r2 = obs::check_trace(loaded);
+  // Round-trip the apps trace too: announce/help_all/apply_commit share
+  // the rings with the substrate's events.
+  const auto r2 = obs::check_trace(round_trip(d, "test_obs_apps.json"));
   CHECK(r2.ok());
   CHECK_EQ(r2.applies_checked, r.applies_checked);
-  std::remove(path.c_str());
 }
 
 void write_file(const std::string& path, const char* text) {
@@ -421,7 +423,57 @@ void vacuous_files_fail(const obs::TraceData& real) {
   CHECK(obs::write_chrome_trace(good, real));
   CHECK_EQ(trace_check_exit(good), 0);
 
-  for (const auto& p : {empty, foreign, no_events, good}) {
+  // A file of the previous schema, whose LL/SC windows were folded into
+  // "X" events with kinds "ll"/"sc" the loader does not know, is refused
+  // on its schema_version rather than misread. These lines are verbatim
+  // from a schema-4 bench_membership trace.
+  const std::string v4 = "test_obs_v4.json";
+  write_file(
+      v4,
+      "{\n\"traceEvents\": [\n"
+      "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":0,\"tid\":0,"
+      "\"args\":{\"name\":\"process 0\"}},\n"
+      "{\"ph\":\"i\",\"name\":\"ll_fast\",\"cat\":\"mwllsc\",\"s\":\"t\","
+      "\"pid\":0,\"tid\":0,\"ts\":22363.043,\"args\":{\"k\":\"ll_fast\","
+      "\"var\":1,\"tag\":29310,\"arg\":9}},\n"
+      "{\"ph\":\"X\",\"name\":\"SC(fail)\",\"cat\":\"mwllsc\",\"pid\":0,"
+      "\"tid\":0,\"ts\":22363.256,\"dur\":0.214,\"args\":{\"k\":\"sc\","
+      "\"end\":\"sc_fail\",\"slow\":0,\"retries\":0,\"var\":1,\"tag\":0,"
+      "\"arg\":0}},\n"
+      "{\"ph\":\"X\",\"name\":\"LL(fast)\",\"cat\":\"mwllsc\",\"pid\":0,"
+      "\"tid\":0,\"ts\":22363.497,\"dur\":0.032,\"args\":{\"k\":\"ll\","
+      "\"end\":\"ll_fast\",\"slow\":0,\"retries\":0,\"var\":1,"
+      "\"tag\":29311,\"arg\":4}},\n"
+      "{\"ph\":\"X\",\"name\":\"SC(commit)\",\"cat\":\"mwllsc\",\"pid\":0,"
+      "\"tid\":0,\"ts\":22363.743,\"dur\":0.187,\"args\":{\"k\":\"sc\","
+      "\"end\":\"sc_commit\",\"slow\":0,\"retries\":0,\"var\":1,"
+      "\"tag\":29312,\"arg\":0}},\n"
+      "{\"ph\":\"i\",\"name\":\"buffer_retire\",\"cat\":\"mwllsc\","
+      "\"s\":\"t\",\"pid\":0,\"tid\":0,\"ts\":22364.046,\"args\":{\"k\":"
+      "\"buffer_retire\",\"var\":1,\"tag\":29312,\"arg\":4}}\n"
+      "],\n\"displayTimeUnit\": \"ms\",\n\"mwllsc\": {\n"
+      "  \"schema_version\": 4,\n"
+      "  \"dropped\": [178357],\n"
+      "  \"vars\": [\n"
+      "    {\"id\": 1, \"words\": 4, \"label\": \"jp managed w=4 slots=4 "
+      "churn\"}\n"
+      "  ]\n}\n}\n");
+  CHECK(!obs::load_chrome_trace(v4, &d, &err));
+  CHECK(err.find("schema_version 4") != std::string::npos);
+  CHECK_EQ(trace_check_exit(v4), 1);
+
+  // So is an event kind the loader does not know.
+  const std::string unknown = "test_obs_unknown_kind.json";
+  write_file(unknown,
+             "{\"ph\":\"i\",\"name\":\"buffer_swap\",\"cat\":\"mwllsc\","
+             "\"s\":\"t\",\"pid\":0,\"tid\":0,\"ts\":1.000,\"args\":{\"k\":"
+             "\"buffer_swap\",\"var\":0,\"tag\":0,\"arg\":0}}\n"
+             "  \"schema_version\": 5,\n");
+  CHECK(!obs::load_chrome_trace(unknown, &d, &err));
+  CHECK(err.find("unknown event kind \"buffer_swap\"") != std::string::npos);
+  CHECK_EQ(trace_check_exit(unknown), 1);
+
+  for (const auto& p : {empty, foreign, no_events, good, v4, unknown}) {
     std::remove(p.c_str());
   }
 }
@@ -431,8 +483,10 @@ void vacuous_files_fail(const obs::TraceData& real) {
 void out_of_range_tid_rejected() {
   const std::string path = "test_obs_bad_tid.json";
   write_file(path,
-             "{\"ph\":\"i\",\"tid\":4000000000,\"name\":\"sc_commit\"}\n"
-             "  \"schema_version\": 4,\n");
+             "{\"ph\":\"i\",\"name\":\"sc_commit\",\"cat\":\"mwllsc\","
+             "\"s\":\"t\",\"pid\":0,\"tid\":4000000000,\"ts\":1.000,"
+             "\"args\":{\"k\":\"sc_commit\",\"var\":0,\"tag\":0,\"arg\":0}}\n"
+             "  \"schema_version\": 5,\n");
   obs::TraceData d;
   std::string err;
   CHECK(!obs::load_chrome_trace(path, &d, &err));
@@ -478,9 +532,7 @@ void metrics_registry() {
   }
 
   const std::string prom = "test_obs_metrics.prom";
-  const std::string json = "test_obs_metrics.json";
   CHECK(obs::write_prometheus(prom, reg));
-  CHECK(obs::write_metrics_json(json, reg));
 
   const std::string ptext = slurp(prom);
   CHECK(ptext.find("# TYPE mwllsc_sc_success_ratio gauge") !=
@@ -494,13 +546,7 @@ void metrics_registry() {
   CHECK(ptext.find("quantile=\"0.99\"") != std::string::npos);
   CHECK(ptext.find("mwllsc_op_latency_ns_count{impl=\"jp\"} 1000") !=
         std::string::npos);
-
-  const std::string jtext = slurp(json);
-  CHECK(jtext.find("\"schema_version\"") != std::string::npos);
-  CHECK(jtext.find("mwllsc_sc_success_ratio") != std::string::npos);
-  CHECK(jtext.find("\"p99\"") != std::string::npos);
   std::remove(prom.c_str());
-  std::remove(json.c_str());
 }
 
 /// A full disk must not pass for a written file: every exporter returns
@@ -521,9 +567,6 @@ void full_disk_reported(const obs::TraceData& d) {
   CHECK(err.find(full) != std::string::npos);
   err.clear();
   CHECK(!obs::write_prometheus(full, reg, &err));
-  CHECK(err.find(full) != std::string::npos);
-  err.clear();
-  CHECK(!obs::write_metrics_json(full, reg, &err));
   CHECK(err.find(full) != std::string::npos);
 }
 
@@ -547,6 +590,7 @@ int main() {
   handle_binding();
   const obs::TraceData d = traced_protocol_mt();
   export_roundtrip(d);
+  every_kind_roundtrip();
   trace_derived_metrics(d);
   truncation_tolerated();
   empty_trace_checks_clean();
