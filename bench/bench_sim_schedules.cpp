@@ -29,22 +29,13 @@
 //   --trace: the protocol events of the random-schedule characterization
 //   run, checkable by trace_check.
 //
-// Repro modes (every invariant-violation message embeds the knobs these
-// take — "sched-seed=S" / "churn-seed=S" and "schedule=..."):
-//   --seed S   [--n N] [--w W] [--ops K] [--wl-seed S2] [--vl P]
-//       re-run the single failing random schedule seed on the jp object
-//       under the full checker and exit (0 clean / 1 violation).
-//   --replay "0,1,c0,r0,1,..."  [--n N] [--w W] [--ops K] [--wl-seed S2]
-//                               [--vl P]
-//       token-for-token re-execution of a recorded schedule ("P" = step,
-//       "cP" = crash, "rP" = reclaim, "bP" = rebind); N/W/ops/wl-seed/vl
-//       must match the failing run or the replay reports the divergence.
-//       The exhaustive searches in test_sim/test_sim_crash run with
-//       --ops 2 --wl-seed 3 --vl 50.
+//   --repro '[repro: ...]': re-run the run a violation message's repro
+//   block names under that object's full checker, then exit 0 if clean, 1
+//   on a violation (printing the same message), 2 on a malformed block.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -80,7 +71,7 @@ std::uint32_t worst_ll_random(std::uint32_t n, std::uint32_t w,
     cfg.seed = s;
     SimWorkload<Object> wl(n, w, cfg);
     CheckerOf<Object> chk(wl);
-    const RunResult r = run_random(wl, chk, s * 7919);
+    const RunResult r = run_random(wl, chk, {s * 7919});
     note(r, "random");
     worst = std::max(worst, r.max_ll_steps);
   }
@@ -108,54 +99,32 @@ std::uint32_t worst_ll_adversarial(std::uint32_t n, std::uint32_t w,
   return worst;
 }
 
-// Shared setup for the --seed / --replay repro modes: one jp workload with
-// the caller-specified shape, full invariant checking, verbose verdict.
-int run_repro(int argc, char** argv) {
-  const std::string seed_s = bench::arg_value(argc, argv, "--seed");
-  const std::string replay = bench::arg_value(argc, argv, "--replay");
-  auto u32 = [&](const char* flag, std::uint32_t dflt) {
-    const std::string v = bench::arg_value(argc, argv, flag);
-    return v.empty() ? dflt
-                     : static_cast<std::uint32_t>(std::strtoul(
-                           v.c_str(), nullptr, 10));
-  };
-  const std::uint32_t n = u32("--n", 2);
-  const std::uint32_t w = u32("--w", 2);
-  WorkloadConfig cfg;
-  cfg.ops_per_proc = u32("--ops", 300);
-  cfg.seed = u32("--wl-seed", 1);
-  cfg.vl_percent = u32("--vl", cfg.vl_percent);
-  SimWorkload<Jp> wl(n, w, cfg);
-  JpChecker chk(wl);
-  RunResult r;
-  if (!replay.empty()) {
-    std::printf("replaying %zu schedule chars on jp N=%u W=%u ops=%u\n",
-                replay.size(), n, w, cfg.ops_per_proc);
-    r = run_replay(wl, chk, replay);
-  } else {
-    const std::uint64_t seed = std::strtoull(seed_s.c_str(), nullptr, 10);
-    std::printf("re-running sched-seed=%llu on jp N=%u W=%u ops=%u\n",
-                static_cast<unsigned long long>(seed), n, w,
-                cfg.ops_per_proc);
-    r = run_random(wl, chk, seed);
+// --repro: re-run one repro block and report its verdict.
+int repro(const std::string& block) {
+  Repro rp;
+  std::string err;
+  if (!parse_repro(block, &rp, &err)) {
+    std::fprintf(stderr, "%s\n", err.c_str());
+    return 2;
   }
+  const RunResult r = run_repro(rp, [](const auto& wl) {
+    return CheckerOf<typename std::decay_t<decltype(wl)>::object_type>(wl);
+  });
   if (!r.ok) {
     std::fprintf(stderr, "INVARIANT FAILURE: %s\n", r.error.c_str());
     return 1;
   }
-  std::printf("clean: %llu steps, worst LL %u steps (bound %u)\n",
+  std::printf("clean: %llu steps, worst LL %u steps\n",
               static_cast<unsigned long long>(r.total_steps),
-              r.max_ll_steps, Jp::ll_step_bound(n, w));
+              r.max_ll_steps);
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (!bench::arg_value(argc, argv, "--seed").empty() ||
-      !bench::arg_value(argc, argv, "--replay").empty()) {
-    return run_repro(argc, argv);
-  }
+  const std::string block = bench::arg_value(argc, argv, "--repro");
+  if (!block.empty()) return repro(block);
   const bool smoke = bench::has_flag(argc, argv, "--smoke");
   bench::ObsSession obs(argc, argv, 3);
   const std::uint32_t seeds = smoke ? 4 : 10;
@@ -229,7 +198,7 @@ int main(int argc, char** argv) {
     obs.bind(wl.object(), "jp w=4 n=3 (simulated)");
     JpChecker chk(wl);
     util::Stopwatch sw;
-    const RunResult r = run_random(wl, chk, 1);
+    const RunResult r = run_random(wl, chk, {1});
     note(r, "characterization random");
     const double secs = sw.elapsed_s();
     std::printf(
@@ -244,11 +213,7 @@ int main(int argc, char** argv) {
     util::Stopwatch sw;
     const EnumerateResult r =
         enumerate_preemption_bounded<Jp, JpChecker>(2, 2, cfg, 2, 100000);
-    if (!r.ok) {
-      std::fprintf(stderr, "INVARIANT FAILURE (CHESS search): %s\n",
-                   r.error.c_str());
-      g_all_ok = false;
-    }
+    note(r, "CHESS search");
     const double secs = sw.elapsed_s();
     std::printf(
         "  CHESS search:    %.0f schedules/s, %llu schedules with <=2 "
@@ -264,9 +229,7 @@ int main(int argc, char** argv) {
     cfg.ops_per_proc = smoke ? 2000 : 10000;
     SimWorkload<Jp> wl(3, 4, cfg);
     JpChecker chk(wl);
-    ChurnConfig churn;
-    churn.sched_seed = 42;
-    const RunResult r = run_crash_churn(wl, chk, churn);
+    const RunResult r = run_random(wl, chk, {42, 53, 23, 1});
     note(r, "crash churn");
     std::printf(
         "  crash churn:     %llu steps, %llu crashes / %llu reclaims, "

@@ -42,12 +42,6 @@ class MetricsRegistry {
     m.value = static_cast<double>(v);
   }
 
-  void add_counter(const std::string& key, std::uint64_t v) {
-    Metric& m = metrics_[key];
-    m.type = Type::kCounter;
-    m.value += static_cast<double>(v);
-  }
-
   void set_gauge(const std::string& key, double v) {
     Metric& m = metrics_[key];
     m.type = Type::kGauge;

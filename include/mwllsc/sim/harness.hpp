@@ -12,44 +12,39 @@
 // picks which process moves next, any interleaving replays exactly, which
 // turns Theorem 1's wait-freedom claim into a checkable property:
 //
-//   * run_random            seeded uniform scheduling, the baseline sweep;
-//   * run_adversarial_anti  an anti-schedule that tries to starve one
-//                           victim reader: run the victim up to its copy
-//                           validation, land enough successful SCs to doom
-//                           it, let it validate, repeat. The wait-free
-//                           protocols rescue the victim through the help
-//                           path; the retry strawman's victim LL grows with
-//                           however long the adversary runs;
+//   * run_random            seeded uniform scheduling, optionally with
+//                           crash-stop churn at op boundaries;
+//   * run_adversarial_anti  starves one victim reader's copy validation:
+//                           the wait-free protocols rescue it, the retry
+//                           strawman's victim LL grows without bound;
 //   * enumerate_preemption_bounded
-//                           CHESS-style bounded search (Musuvathi & Qadeer):
-//                           every schedule with at most K preemptions and,
-//                           with a crash budget, every crash-stop placement.
-//                           Objects cannot be copied mid-run, so the search
-//                           is stateless: each branch rebuilds its state by
-//                           replaying the schedule prefix on a fresh object;
-//   * run_crash_churn       seeded-random scheduling with periodic
-//                           crash(pid) injection at op boundaries and
-//                           delayed reclamation — the membership layer's
-//                           churn, in the simulator;
-//   * run_replay            re-executes a recorded schedule token-for-token
-//                           (every invariant-violation message embeds its
-//                           scheduler seed and exact schedule prefix, so
-//                           failures reproduce with --seed/--replay).
+//                           CHESS-style bounded exhaustive search over
+//                           preemptions and crash-stop placements
+//                           (Musuvathi & Qadeer), stateless: each branch
+//                           replays its schedule prefix on a fresh object;
+//   * run_replay            re-executes a recorded schedule token-for-token.
+//
+// Every violation message ends in one "[repro: ...]" block naming the
+// object, the workload and the runner; parse_repro reads it back and
+// run_repro re-runs it (bench_sim_schedules --repro '<block>').
 //
 // Crash-stop is modeled by never resuming a process, at any step. A pid
 // frozen at an op boundary is an abandoned session: reclaim(pid) reissues
 // it through the object's own rebind_pid to a fresh incarnation that
-// continues the script. rebind(pid) is a graceful retirement at an op
-// boundary followed by rebind_pid. A pid frozen inside an op stays frozen:
-// recovering it would need a recoverable CAS, which the object does not
-// model.
+// continues the script. A graceful retirement also ends at an op boundary
+// in rebind_pid, so crash(pid) then reclaim(pid) models it too. A pid
+// frozen inside an op stays frozen: recovering it would need a recoverable
+// CAS, which the object does not model.
 #pragma once
 
 #include <cassert>
+#include <cinttypes>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <exception>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -103,12 +98,10 @@ struct RunResult {
   std::uint32_t max_ll_steps = 0;  ///< worst completed LL, in accesses
 };
 
-struct EnumerateResult {
-  bool ok = true;
-  std::string error;
+/// total_steps counts the steps of the whole schedule tree, max_ll_steps
+/// the worst LL across schedules.
+struct EnumerateResult : RunResult {
   std::uint64_t schedules_explored = 0;  ///< complete executions reached
-  std::uint64_t total_steps = 0;  ///< steps in the schedule tree
-  std::uint32_t max_ll_steps = 0;  ///< worst completed LL across schedules
   core::OpStatsSnapshot stats;     ///< object counters summed over complete
                                    ///< executions: which paths were reached
   bool truncated = false;                ///< hit the schedule budget
@@ -131,10 +124,10 @@ struct WorkloadConfig {
 /// scheduler (a runner below) only chooses which process moves next.
 template <class Object>
 class SimWorkload {
-  static constexpr std::uint32_t kStep = 0, kCrash = 1, kReclaim = 2,
-                                 kRebind = 3;
+  static constexpr std::uint32_t kStep = 0, kCrash = 1, kReclaim = 2;
 
  public:
+  using object_type = Object;  ///< for checker factories (run_repro)
   static constexpr bool kSupportsCrash = detail::SupportsCrash<Object>::value;
 
   SimWorkload(std::uint32_t nprocs, std::uint32_t words, WorkloadConfig cfg)
@@ -157,6 +150,7 @@ class SimWorkload {
   const Object& object() const { return obj_; }
   std::uint32_t n() const { return n_; }
   std::uint32_t w() const { return w_; }
+  const WorkloadConfig& config() const { return cfg_; }
 
   /// The abstract version: X's sequence tag.
   std::uint64_t version() const { return Inspector<Object>::version(obj_); }
@@ -166,7 +160,7 @@ class SimWorkload {
   /// work", not "every script finished" — a crash-stop may strand a script
   /// forever).
   bool proc_done(std::uint32_t p) const {
-    return procs_[p]->crashed || script_done(p);
+    return procs_[p]->crashed || procs_[p]->rounds >= ops_of(p);
   }
 
   bool done() const {
@@ -177,11 +171,6 @@ class SimWorkload {
   }
 
   bool crashed(std::uint32_t p) const { return procs_[p]->crashed; }
-
-  /// Whether p's script is finished regardless of crash state.
-  bool script_done(std::uint32_t p) const {
-    return procs_[p]->rounds >= ops_of(p);
-  }
 
   /// LL..SC rounds in p's script.
   std::uint32_t ops_of(std::uint32_t p) const {
@@ -243,18 +232,6 @@ class SimWorkload {
     chk.on_step(*this);
   }
 
-  /// Graceful retirement of p's holder at an op boundary, then the pid is
-  /// reissued (rebind_pid) to a new holder who continues the script.
-  template <class Checker>
-  void rebind(std::uint32_t p, Checker& chk) {
-    static_assert(kSupportsCrash, "this object does not model crash-stop");
-    assert(!procs_[p]->crashed && at_boundary(p));
-    sched_.push_back((p << 2) | kRebind);
-    obj_.rebind_pid(p);
-    chk.on_rebind(*this, p);
-    chk.on_step(*this);
-  }
-
   std::uint64_t total_steps() const { return total_steps_; }
   std::uint32_t max_ll_steps() const { return max_ll_steps_; }
   std::uint64_t completed_lls() const { return completed_lls_; }
@@ -284,22 +261,14 @@ class SimWorkload {
     return Inspector<Object>::doom_delta(obj_);
   }
 
-  /// The schedule so far in `--replay` token form: "P" is one step of
-  /// process P, "cP" a crash, "rP" a reclaim, "bP" a rebind. Longer
-  /// schedules are truncated with a "+K" tail — the scheduler seed in the
-  /// same message reproduces them in full.
-  std::string schedule_string(std::size_t max_chars = 4096) const {
-    static const char* const kPrefix[] = {"", "c", "r", "b"};
+  /// The schedule so far in token form: "P" is one step of process P,
+  /// "cP" a crash, "rP" a reclaim.
+  std::string schedule_string() const {
+    static const char* const kPrefix[] = {"", "c", "r"};
     std::string out;
-    for (std::size_t i = 0; i < sched_.size(); ++i) {
-      const std::string tok =
-          kPrefix[sched_[i] & 3] + std::to_string(sched_[i] >> 2);
+    for (const std::uint32_t e : sched_) {
       if (!out.empty()) out += ',';
-      if (out.size() + tok.size() > max_chars) {
-        out += "+" + std::to_string(sched_.size() - i) + " more";
-        break;
-      }
-      out += tok;
+      out += kPrefix[e & 3] + std::to_string(e >> 2);
     }
     return out;
   }
@@ -312,28 +281,19 @@ class SimWorkload {
     const std::uint32_t kind = event & 3;
     if (p >= n_) return "pid out of range";
     if (kind != kStep && !kSupportsCrash) {
-      return "crash/reclaim/rebind token for an object without crash-stop";
+      return "crash/reclaim token for an object without crash-stop";
     }
     if constexpr (kSupportsCrash) {
-      switch (kind) {
-        case kCrash:
-          if (crashed(p)) return "crash of an already-crashed pid";
-          if (proc_done(p)) return "crash of a finished pid";
-          crash(p, chk);
-          return nullptr;
-        case kReclaim:
-          if (!crashed(p)) return "reclaim of a live pid";
-          if (!at_boundary(p)) return "reclaim of a pid frozen inside an op";
-          reclaim(p, chk);
-          return nullptr;
-        case kRebind:
-          if (crashed(p) || !at_boundary(p)) {
-            return "rebind of a crashed pid or one inside an op";
-          }
-          rebind(p, chk);
-          return nullptr;
-        default:
-          break;
+      if (kind == kCrash) {
+        if (proc_done(p)) return "crash of a crashed or finished pid";
+        crash(p, chk);
+        return nullptr;
+      }
+      if (kind == kReclaim) {
+        if (!crashed(p)) return "reclaim of a live pid";
+        if (!at_boundary(p)) return "reclaim of a pid frozen inside an op";
+        reclaim(p, chk);
+        return nullptr;
       }
     }
     if (proc_done(p)) return "step of a done/crashed pid";
@@ -343,30 +303,22 @@ class SimWorkload {
 
   const std::vector<std::uint32_t>& events() const { return sched_; }
 
-  /// Parses `--replay` tokens into events; false on a malformed token.
+  /// Parses schedule tokens into events; false on a malformed token.
   static bool parse_schedule(const std::string& s,
                              std::vector<std::uint32_t>* out,
                              std::string* err) {
-    std::size_t i = 0;
-    while (i < s.size()) {
-      if (s[i] == ',' || s[i] == ' ') {
-        ++i;
-        continue;
-      }
-      std::uint32_t kind = kStep;
-      if (s[i] == 'c') kind = kCrash;
-      if (s[i] == 'r') kind = kReclaim;
-      if (s[i] == 'b') kind = kRebind;
-      if (kind != kStep) ++i;
-      if (i >= s.size() || s[i] < '0' || s[i] > '9') {
-        *err = "replay: malformed token at offset " + std::to_string(i);
+    std::istringstream in(s);
+    for (std::string tok; std::getline(in, tok, ',');) {
+      const std::uint32_t kind =
+          tok[0] == 'c' ? kCrash : tok[0] == 'r' ? kReclaim : kStep;
+      const std::string pid = tok.substr(kind == kStep ? 0 : 1);
+      if (pid.empty() || pid.size() > 6 ||
+          pid.find_first_not_of("0123456789") != std::string::npos) {
+        *err = "schedule: malformed token \"" + tok + "\"";
         return false;
       }
-      std::uint32_t p = 0;
-      while (i < s.size() && s[i] >= '0' && s[i] <= '9') {
-        p = p * 10 + static_cast<std::uint32_t>(s[i++] - '0');
-      }
-      out->push_back((p << 2) | kind);
+      const auto pid_num = static_cast<std::uint32_t>(std::stoul(pid));
+      out->push_back((pid_num << 2) | kind);
     }
     return true;
   }
@@ -522,18 +474,34 @@ class SimWorkload {
   std::uint32_t max_ll_steps_ = 0;
 };
 
+/// Each simulated object's name in a repro block.
+template <class Object>
+inline constexpr const char* kImplName =
+    std::is_same_v<Object, Jp> ? "jp" : std::is_same_v<Object, Am> ? "am"
+                                                                    : "retry";
+
 namespace detail {
 
-/// On a checker violation, embeds how the schedule was produced (the seed
-/// or adversary) plus the exact schedule prefix in the error, so every
-/// failure reproduces via --seed or --replay (bench_sim_schedules).
+/// The one builder of violation messages: on a checker violation, fails
+/// `res` with the checker's error and then the repro block that re-runs it.
+/// `runner` names a seeded runner and its knobs; an empty one stands for
+/// the schedule itself.
 template <class Object, class Checker>
 bool bail(const Checker& chk, RunResult& res, const SimWorkload<Object>& wl,
-          const std::string& how) {
+          const std::string& runner) {
   if (chk.ok()) return false;
+  const WorkloadConfig& c = wl.config();
+  std::string ops;
+  for (std::uint32_t p = 0; p < wl.n(); ++p) {
+    ops += (p ? "," : "") + std::to_string(wl.ops_of(p));
+  }
   res.ok = false;
-  res.error = chk.error() + " [repro: " + how +
-              " schedule=" + wl.schedule_string() + "]";
+  res.error = chk.error() + " [repro: impl=" + kImplName<Object> +
+              " n=" + std::to_string(wl.n()) + " w=" + std::to_string(wl.w()) +
+              " ops=" + ops + " wl-seed=" + std::to_string(c.seed) +
+              " vl=" + std::to_string(c.vl_percent) + " " +
+              (runner.empty() ? "schedule=" + wl.schedule_string() : runner) +
+              "]";
   return true;
 }
 
@@ -546,90 +514,78 @@ RunResult finish(RunResult res, const SimWorkload<Object>& wl) {
 
 }  // namespace detail
 
-/// Seeded uniform scheduling: every step, a uniformly random not-yet-done
-/// process moves.
-template <class Object, class Checker>
-RunResult run_random(SimWorkload<Object>& wl, Checker& chk,
-                     std::uint64_t sched_seed) {
-  util::Xoshiro256 rng(sched_seed ? sched_seed : 1);
-  RunResult res;
-  const std::string how = "sched-seed=" + std::to_string(sched_seed);
-  std::vector<std::uint32_t> runnable;
-  while (!wl.done()) {
-    runnable.clear();
-    for (std::uint32_t p = 0; p < wl.n(); ++p) {
-      if (!wl.proc_done(p)) runnable.push_back(p);
-    }
-    const std::uint32_t p =
-        runnable[rng.next_below(static_cast<std::uint32_t>(runnable.size()))];
-    wl.step(p, chk);
-    if (detail::bail(chk, res, wl, how)) break;
-  }
-  return detail::finish(res, wl);
-}
-
-/// Churn scheduling for the crash-stop adversary: seeded-random stepping
-/// with a crash injected every ~crash_period steps (never the last live
-/// process) into a process at an op boundary, as a session abandons, and
-/// each dead pid reissued reclaim_delay steps later, so survivors keep
-/// running against the frozen pid, then against the recycled one.
-struct ChurnConfig {
+/// run_random's knobs. crash_period 0 means no crashes.
+struct RandomConfig {
   std::uint64_t sched_seed = 1;
-  std::uint32_t crash_period = 53;   ///< steps between crash injections
+  std::uint32_t crash_period = 0;    ///< steps between crash injections
   std::uint32_t reclaim_delay = 23;  ///< steps a dead pid waits for reclaim
   std::uint32_t max_concurrent_crashes = 1;
 };
 
+/// Seeded uniform scheduling: every step, a uniformly random runnable
+/// process moves. With a crash period (objects with rebind_pid only; the
+/// crash arms compile out for the others) a crash is injected every
+/// ~crash_period steps (never into the last live process) into a process
+/// at an op boundary, as a session abandons, and each dead pid is reissued
+/// reclaim_delay steps later, so survivors keep running against the frozen
+/// pid, then against the recycled one. `wl` must be fresh.
 template <class Object, class Checker>
-RunResult run_crash_churn(SimWorkload<Object>& wl, Checker& chk,
-                          ChurnConfig cfg) {
-  static_assert(SimWorkload<Object>::kSupportsCrash,
-                "crash churn needs an object with rebind_pid");
+RunResult run_random(SimWorkload<Object>& wl, Checker& chk,
+                     const RandomConfig& cfg) {
+  constexpr bool kCrash = SimWorkload<Object>::kSupportsCrash;
+  assert(wl.events().empty());
   util::Xoshiro256 rng(cfg.sched_seed ? cfg.sched_seed : 1);
   RunResult res;
-  const std::string how = "churn-seed=" + std::to_string(cfg.sched_seed);
+  const std::string how =
+      "sched-seed=" + std::to_string(cfg.sched_seed) +
+      " crash-period=" + std::to_string(cfg.crash_period) +
+      " reclaim-delay=" + std::to_string(cfg.reclaim_delay) +
+      " max-crashes=" + std::to_string(cfg.max_concurrent_crashes);
   std::vector<std::pair<std::uint32_t, std::uint64_t>> dead;  // pid, at step
   std::vector<std::uint32_t> runnable;
   std::vector<std::uint32_t> at_boundary;  // runnable between two ops
   std::uint64_t next_crash = cfg.crash_period;
   for (;;) {
-    // Reclaim dead slots whose grace period expired.
-    while (!dead.empty() &&
-           wl.total_steps() >= dead.front().second + cfg.reclaim_delay) {
-      wl.reclaim(dead.front().first, chk);
-      dead.erase(dead.begin());
-      if (detail::bail(chk, res, wl, how)) return detail::finish(res, wl);
-    }
-    if (wl.done()) {
-      // Only frozen stragglers can still hold unfinished scripts; recycle
-      // them and let them finish (the run must end with every op done, or
-      // the oracle would be vacuous on the tail).
-      if (dead.empty()) break;
-      for (const auto& d : dead) {
-        wl.reclaim(d.first, chk);
+    if constexpr (kCrash) {
+      // Reclaim dead slots whose grace period expired.
+      while (!dead.empty() &&
+             wl.total_steps() >= dead.front().second + cfg.reclaim_delay) {
+        wl.reclaim(dead.front().first, chk);
+        dead.erase(dead.begin());
         if (detail::bail(chk, res, wl, how)) return detail::finish(res, wl);
       }
-      dead.clear();
-      if (wl.done()) break;
+      if (wl.done()) {
+        // Only frozen stragglers can still hold unfinished scripts; recycle
+        // them and let them finish (the run must end with every op done,
+        // or the oracle would be vacuous on the tail).
+        for (const auto& d : dead) {
+          wl.reclaim(d.first, chk);
+          if (detail::bail(chk, res, wl, how)) return detail::finish(res, wl);
+        }
+        dead.clear();
+      }
     }
+    if (wl.done()) break;
     runnable.clear();
     for (std::uint32_t p = 0; p < wl.n(); ++p) {
       if (!wl.proc_done(p)) runnable.push_back(p);
     }
-    if (runnable.empty()) continue;  // everyone crashed; loop reclaims
-    at_boundary.clear();
-    for (const std::uint32_t p : runnable) {
-      if (wl.at_boundary(p)) at_boundary.push_back(p);
-    }
-    if (wl.total_steps() >= next_crash && runnable.size() > 1 &&
-        !at_boundary.empty() && dead.size() < cfg.max_concurrent_crashes) {
-      const std::uint32_t v = at_boundary[rng.next_below(
-          static_cast<std::uint32_t>(at_boundary.size()))];
-      wl.crash(v, chk);
-      dead.emplace_back(v, wl.total_steps());
-      next_crash = wl.total_steps() + cfg.crash_period;
-      if (detail::bail(chk, res, wl, how)) break;
-      continue;
+    if constexpr (kCrash) {
+      at_boundary.clear();
+      for (const std::uint32_t p : runnable) {
+        if (wl.at_boundary(p)) at_boundary.push_back(p);
+      }
+      if (cfg.crash_period > 0 && wl.total_steps() >= next_crash &&
+          runnable.size() > 1 && !at_boundary.empty() &&
+          dead.size() < cfg.max_concurrent_crashes) {
+        const std::uint32_t v = at_boundary[rng.next_below(
+            static_cast<std::uint32_t>(at_boundary.size()))];
+        wl.crash(v, chk);
+        dead.emplace_back(v, wl.total_steps());
+        next_crash = wl.total_steps() + cfg.crash_period;
+        if (detail::bail(chk, res, wl, how)) break;
+        continue;
+      }
     }
     const std::uint32_t p =
         runnable[rng.next_below(static_cast<std::uint32_t>(runnable.size()))];
@@ -640,10 +596,9 @@ RunResult run_crash_churn(SimWorkload<Object>& wl, Checker& chk,
 }
 
 /// Re-executes a recorded schedule token-for-token (the format
-/// schedule_string emits and invariant-violation messages embed). Stops at
-/// the end of the tokens or when the workload completes; a token that is
-/// not applicable (wrong config or seed) reports divergence instead of
-/// asserting.
+/// schedule_string emits and repro blocks carry). Stops at the end of the
+/// tokens or when the workload completes; a token that is not applicable
+/// (wrong workload) reports divergence instead of asserting.
 template <class Object, class Checker>
 RunResult run_replay(SimWorkload<Object>& wl, Checker& chk,
                      const std::string& schedule) {
@@ -658,10 +613,10 @@ RunResult run_replay(SimWorkload<Object>& wl, Checker& chk,
     if (const char* diverged = wl.apply(e, chk)) {
       res.ok = false;
       res.error = std::string("replay diverged (") + diverged +
-                  "): check that N/W/ops/seed match the failing run";
+                  "): check that impl/n/w/ops/wl-seed/vl match the failing run";
       break;
     }
-    if (detail::bail(chk, res, wl, "replay")) break;
+    if (detail::bail(chk, res, wl, "")) break;
   }
   return detail::finish(res, wl);
 }
@@ -675,14 +630,21 @@ RunResult run_replay(SimWorkload<Object>& wl, Checker& chk,
 /// For the announce/help protocols the victim is rescued by a donation
 /// within O(N) successful SCs, so its worst LL is flat in max_steps; the
 /// retry strawman's victim never completes and steps_in_flight(victim)
-/// grows linearly with max_steps.
+/// grows linearly with max_steps. `wl` must be fresh.
 template <class Object, class Checker>
 RunResult run_adversarial_anti(SimWorkload<Object>& wl, Checker& chk,
                                std::uint32_t victim,
                                std::uint32_t victim_burst,
                                std::uint64_t max_steps) {
+  assert(wl.events().empty());
   RunResult res;
-  const std::string how = "anti-adversary victim=" + std::to_string(victim);
+  const std::string how = "anti victim=" + std::to_string(victim) +
+                          " burst=" + std::to_string(victim_burst) +
+                          " max-steps=" + std::to_string(max_steps);
+  const auto step_fails = [&](std::uint32_t p) {
+    wl.step(p, chk);
+    return detail::bail(chk, res, wl, how);
+  };
   const std::uint32_t n = wl.n();
   std::uint32_t rr = victim;  // round-robin cursor over the adversaries
   while (wl.total_steps() < max_steps && !wl.done()) {
@@ -692,8 +654,7 @@ RunResult run_adversarial_anti(SimWorkload<Object>& wl, Checker& chk,
           wl.total_steps() >= max_steps) {
         break;
       }
-      wl.step(victim, chk);
-      if (detail::bail(chk, res, wl, how)) return detail::finish(res, wl);
+      if (step_fails(victim)) return detail::finish(res, wl);
     }
     if (wl.proc_done(victim)) break;  // the victim survived its whole script
     // Adversary slice: writers run until enough successful SCs land to
@@ -712,21 +673,18 @@ RunResult run_adversarial_anti(SimWorkload<Object>& wl, Checker& chk,
       }
       if (q == n) break;  // no adversaries left
       rr = q;
-      wl.step(q, chk);
-      if (detail::bail(chk, res, wl, how)) return detail::finish(res, wl);
+      if (step_fails(q)) return detail::finish(res, wl);
       progressed = true;
     }
     if (!progressed) {
       // Degenerate (N==1 or writers exhausted): the victim runs alone.
-      wl.step(victim, chk);
-      if (detail::bail(chk, res, wl, how)) return detail::finish(res, wl);
+      if (step_fails(victim)) return detail::finish(res, wl);
     } else if (wl.version() - v0 >= wl.doom_delta() &&
                wl.next_is_validate(victim)) {
       // Only validate once the SCs have actually landed; if the step
       // budget ran out mid-slice the validation would *succeed* and
       // hand the victim a completion the adversary never conceded.
-      wl.step(victim, chk);  // the doomed validation
-      if (detail::bail(chk, res, wl, how)) return detail::finish(res, wl);
+      if (step_fails(victim)) return detail::finish(res, wl);  // doomed
     }
   }
   return detail::finish(res, wl);
@@ -763,15 +721,7 @@ struct Enumerator {
     return r;
   }
 
-  bool failed(const Run& r) {
-    if (r.chk->ok()) return false;
-    res.ok = false;
-    // The enumerated schedule is the exact repro: feed it to --replay.
-    res.error = r.chk->error() + " [repro: enumerated schedule=" +
-                r.wl->schedule_string() + "]";
-    stop = true;
-    return true;
-  }
+  bool failed(const Run& r) { return stop = bail(*r.chk, res, *r.wl, ""); }
 
   // Depth-first over scheduling choice points. The default scheduler runs
   // `current` until it finishes its script; the choice of who runs first
@@ -889,6 +839,99 @@ EnumerateResult enumerate_preemption_bounded(std::uint32_t n, std::uint32_t w,
               /*fresh_switch=*/true);
   }
   return e.res;
+}
+
+/// A parsed repro block (detail::bail writes them). A schedule means a
+/// replay, `anti` an anti-adversary run, and neither a random run.
+struct Repro {
+  std::string impl;
+  std::uint32_t n = 0, w = 0;
+  WorkloadConfig workload;
+  std::string schedule;
+  bool anti = false;
+  std::uint32_t victim = 0, burst = 0;
+  std::uint64_t max_steps = 0;
+  RandomConfig random;
+};
+
+/// Reads the first "[repro: ...]" block in `text` (a whole violation
+/// message or the block alone), keys in the order detail::bail writes them.
+/// False, with `err` set, if the block is malformed or out of range.
+inline bool parse_repro(const std::string& text, Repro* out,
+                        std::string* err) {
+  const std::size_t at = text.find("[repro: ");
+  const std::size_t end = text.find(']', at);
+  const std::string block = at == std::string::npos || end == std::string::npos
+                                ? ""
+                                : text.substr(at + 8, end - at - 8);
+  Repro r;
+  RandomConfig& c = r.random;
+  char impl[8] = "";
+  char ops[1024] = "";
+  int used = 0;
+  int tail = -1;  // where a seeded runner's knobs end
+  std::sscanf(block.c_str(),
+              "impl=%7s n=%" SCNu32 " w=%" SCNu32 " ops=%1023[0-9,] wl-seed=%"
+              SCNu64 " vl=%" SCNu32 " %n",
+              impl, &r.n, &r.w, ops, &r.workload.seed,
+              &r.workload.vl_percent, &used);
+  // If the common part did not parse, used is 0 and a check below fails.
+  const char* rest = block.c_str() + used;
+  if (block.compare(used, 9, "schedule=") == 0) {
+    r.schedule = rest + 9;
+    std::vector<std::uint32_t> events;
+    if (!SimWorkload<Jp>::parse_schedule(r.schedule, &events, err)) {
+      return false;
+    }
+  } else if (std::sscanf(rest,
+                         "anti victim=%" SCNu32 " burst=%" SCNu32
+                         " max-steps=%" SCNu64 "%n",
+                         &r.victim, &r.burst, &r.max_steps, &tail) == 3) {
+    r.anti = true;
+  } else {
+    std::sscanf(rest,
+                "sched-seed=%" SCNu64 " crash-period=%" SCNu32
+                " reclaim-delay=%" SCNu32 " max-crashes=%" SCNu32 "%n",
+                &c.sched_seed, &c.crash_period, &c.reclaim_delay,
+                &c.max_concurrent_crashes, &tail);
+  }
+  bool good = !r.schedule.empty() || (tail >= 0 && rest[tail] == '\0');
+  std::istringstream list(ops);  // digits and commas only
+  for (std::string k; good && std::getline(list, k, ',');) {
+    good = !k.empty() && k.size() < 10;
+    if (good) r.workload.ops_by_pid.push_back(std::stoul(k));
+  }
+  r.impl = impl;
+  if (!good || r.n == 0 || r.n > 64 || r.w == 0 || r.w > 1024 ||
+      r.workload.ops_by_pid.size() != r.n || (r.anti && r.victim >= r.n) ||
+      (r.impl != kImplName<Jp> && r.impl != kImplName<Am> &&
+       r.impl != kImplName<Retry>)) {
+    *err = "repro: want impl=jp|am|retry n=1..64 w=1..1024 ops=<one per "
+           "pid> wl-seed vl, then a runner; got [repro: " + block + "]";
+    return false;
+  }
+  *out = std::move(r);
+  return true;
+}
+
+/// Re-runs a block that parse_repro accepted, from scratch, under the
+/// checker that `make(workload)` returns (CheckerOf<Object> for the
+/// strongest one).
+template <class MakeChecker>
+RunResult run_repro(const Repro& r, MakeChecker make) {
+  const auto run = [&](auto* object) {
+    using Object = std::remove_pointer_t<decltype(object)>;
+    SimWorkload<Object> wl(r.n, r.w, r.workload);
+    auto chk = make(wl);
+    if (!r.schedule.empty()) return run_replay(wl, chk, r.schedule);
+    if (r.anti) {
+      return run_adversarial_anti(wl, chk, r.victim, r.burst, r.max_steps);
+    }
+    return run_random(wl, chk, r.random);
+  };
+  if (r.impl == kImplName<Am>) return run(static_cast<Am*>(nullptr));
+  if (r.impl == kImplName<Retry>) return run(static_cast<Retry*>(nullptr));
+  return run(static_cast<Jp*>(nullptr));
 }
 
 }  // namespace mwllsc::sim

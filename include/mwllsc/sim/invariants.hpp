@@ -1,13 +1,12 @@
 // Invariant checkers for the simulation harness.
 //
 // A checker is constructed from the workload it watches; the harness calls
-// on_step after every step, crash, reclaim and rebind, on_op after every
-// completed operation, and on_rebind when a pid is reissued. ok() turns
+// on_step after every step, crash and reclaim, on_op after every completed
+// operation, and on_rebind when a pid is reissued. ok() turns
 // false, with error() explaining, the first time anything is violated. The
 // checkers read the shipped object through sim::Inspector (never through
 // ghost state), so what they verify is the code that ships:
 //
-//   * NullChecker    accepts everything (pure measurement runs);
 //   * OracleChecker  the sequential-spec linearizability oracle, for any
 //     simulated object. Every SC writes a value unique to (pid, round), so
 //     the version history (X's tag -> the current buffer's contents,
@@ -47,24 +46,6 @@
 #include "sim/inspect.hpp"
 
 namespace mwllsc::sim {
-
-/// Checker that checks nothing: for runs that only measure step counts.
-struct NullChecker {
-  NullChecker() = default;
-  template <class Workload>
-  explicit NullChecker(const Workload&) {}
-  template <class Workload>
-  void on_step(const Workload&) {}
-  template <class Workload>
-  void on_op(const Workload&, const OpRecord&) {}
-  template <class Workload>
-  void on_rebind(const Workload&, std::uint32_t) {}
-  bool ok() const { return true; }
-  const std::string& error() const {
-    static const std::string kEmpty;
-    return kEmpty;
-  }
-};
 
 template <class Object>
 class OracleChecker {

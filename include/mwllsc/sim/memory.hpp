@@ -72,10 +72,6 @@ class SimAtomic {
                                std::memory_order) {
     return compare_exchange_strong(expected, desired, o);
   }
-  /// Never fails spuriously: schedules, not the hardware, decide outcomes.
-  bool compare_exchange_weak(T& expected, T desired, std::memory_order o) {
-    return compare_exchange_strong(expected, desired, o);
-  }
 
   /// The current value, without a scheduling point (checker use only).
   T peek() const { return v_; }

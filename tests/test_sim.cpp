@@ -6,7 +6,8 @@
 //       and so does every schedule of a one-LL reader against a busy
 //       writer with at most 3 preemptions — the shape that reaches jp's
 //       announced path (slow LL, donation, withdraw lost to a donation,
-//       rescue);
+//       rescue) — at N=2 and, with an idle third process, at N=3, where
+//       the probe window P = 4 exceeds N and the ring must age R >= P;
 //   (b) the wait-freedom separation — the anti-adversarial scheduler
 //       starves the retry strawman's victim LL without bound, while jp's
 //       worst LL stays under the paper's 4W+12 bound (and am's under its
@@ -17,6 +18,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
+#include <vector>
 
 #include "sim/harness.hpp"
 #include "sim/invariants.hpp"
@@ -59,28 +62,35 @@ void exhaustive_small_config() {
 }
 
 // (a') The announced path, exhaustively. An LL announces only after its
-// unannounced first attempt saw more than P = 2 SCs land, and a rescue
-// needs P+1 more inside the announced attempt: 2(P+1) = 6 commits inside
-// one LL, which the two-op scripts above cannot produce. So p1 is a busy
-// writer with 6 rounds against p0's single LL;SC, and every schedule with
-// at most 3 preemptions is explored (p0 links, p1 lands 3 SCs, p0 fails
-// over and announces, p1 lands up to 3 more). The search must actually
-// reach every arm of the help machinery, and the rescue sets the worst
-// case, 3W+6 accesses.
-void exhaustive_announced_path() {
-  constexpr std::uint32_t kN = 2, kW = 2;
+// unannounced first attempt saw more than P SCs land, and a rescue needs
+// P+1 more inside the announced attempt: 2(P+1) commits inside one LL,
+// which the two-op scripts above cannot produce. So p1 is a busy writer
+// against p0's single LL;SC, and every schedule with at most 3 preemptions
+// is explored (p0 links, p1 lands P+1 SCs, p0 fails over and announces, p1
+// lands up to P+1 more). At N=2, P = 2 and p1 runs 6 rounds. At N=3, P = 4
+// and p1 runs 11 rounds while p2 stays idle: the smallest shape where a
+// ring of fewer than P cells makes p0's LL return a value the object never
+// held. The search must actually reach every arm of the help machinery,
+// and the rescue sets the worst case, 3W+6 accesses.
+void exhaustive_announced_path(std::uint32_t n, std::uint32_t w,
+                               std::vector<std::uint32_t> ops) {
   WorkloadConfig cfg;
-  cfg.ops_per_proc = 1;
-  cfg.ops_by_pid = {1, 6};
+  cfg.ops_by_pid = ops;
   cfg.vl_percent = 50;
   cfg.seed = 3;
   const EnumerateResult r =
-      enumerate_preemption_bounded<Jp, JpChecker>(kN, kW, cfg, 3, 2000000);
+      enumerate_preemption_bounded<Jp, JpChecker>(n, w, cfg, 3, 2000000);
   if (!r.ok) std::fprintf(stderr, "CHESS search failed: %s\n", r.error.c_str());
   const core::OpStatsSnapshot& s = r.stats;
-  std::printf("exhaustive N=2 W=2 ops={1,6} <=3 preemptions: %llu schedules, "
-              "worst LL %u; summed over schedules: %llu slow LLs, %llu "
-              "donations, %llu withdraws lost to a donation, %llu rescues\n",
+  std::string list;
+  for (const std::uint32_t k : ops) {
+    list += (list.empty() ? "" : ",") + std::to_string(k);
+  }
+  std::printf("exhaustive N=%u W=%u ops={%s} <=3 preemptions: %llu "
+              "schedules, worst LL %u; summed over schedules: %llu slow LLs, "
+              "%llu donations, %llu withdraws lost to a donation, %llu "
+              "rescues\n",
+              n, w, list.c_str(),
               static_cast<unsigned long long>(r.schedules_explored),
               r.max_ll_steps, static_cast<unsigned long long>(s.ll_slow),
               static_cast<unsigned long long>(s.helps_given),
@@ -95,8 +105,8 @@ void exhaustive_announced_path() {
   CHECK(s.ll_used_helped_value > 0);                // a rescue
   CHECK(s.ll_helped <= s.ll_slow);  // only announced LLs get helped
   CHECK_EQ(s.ll_retries, 0u);
-  CHECK_EQ(r.max_ll_steps, 3 * kW + 6);
-  CHECK(r.max_ll_steps <= Jp::ll_step_bound(kN, kW));
+  CHECK_EQ(r.max_ll_steps, 3 * w + 6);
+  CHECK(r.max_ll_steps <= Jp::ll_step_bound(n, w));
 }
 
 // Random schedules with the full oracle, as a wider (non-exhaustive) net —
@@ -111,7 +121,7 @@ void random_oracle_sweep(std::uint32_t n, std::uint32_t w) {
     cfg.seed = s;
     SimWorkload<Object> wl(n, w, cfg);
     CheckerOf<Object> chk(wl);
-    const RunResult r = run_random(wl, chk, s * 101);
+    const RunResult r = run_random(wl, chk, {s * 101});
     if (!r.ok) std::fprintf(stderr, "random run failed: %s\n", r.error.c_str());
     CHECK(r.ok);
     CHECK(wl.done());
@@ -177,7 +187,8 @@ void adversary_separation() {
 
 int main() {
   exhaustive_small_config();
-  exhaustive_announced_path();
+  exhaustive_announced_path(2, 2, {1, 6});
+  exhaustive_announced_path(3, 1, {1, 11, 0});
   random_oracle_sweep<Jp>(3, 3);
   random_oracle_sweep<Am>(3, 3);
   random_oracle_sweep<Retry>(3, 3);

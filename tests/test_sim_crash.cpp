@@ -4,20 +4,22 @@
 //       schedule with <=2 preemptions AND a crash-stop of the currently
 //       scheduled process injected at every protocol step (plus a
 //       2-crash / N=3 variant, and a one-LL reader against a busy writer
-//       that reaches the announced path) keeps I1, I2, the 4W+12 bound
-//       and the sequential-spec oracle green for the live processes;
+//       that reaches the announced path, at N=2 and N=3) keeps I1, I2, the
+//       4W+12 bound and the sequential-spec oracle green for the live
+//       processes;
 //   (b) directed schedules for the nastiest lifecycle points — a helper
 //       frozen right after its donation, a winner frozen between its X SC
 //       and its ring swap, a victim frozen between announce and withdraw,
-//       a holder retiring after its last SC donated as a helper (then its
+//       a holder leaving after its last SC donated as a helper (then its
 //       pid is reissued), and a helper whose own slot still holds a stale
 //       HELPED word — asserting that the survivors stay inside 4W+12 and
 //       the buffer-ownership census (I1) and the bank-write equation (I2)
 //       stay exact at every step;
 //   (c) replay round-trip — a recorded crash-churn schedule re-executes
 //       token-for-token to the same step count;
-//   (d) every invariant-violation message embeds the scheduler seed and
-//       schedule prefix needed to reproduce it (--seed / --replay).
+//   (d) every runner's violation message carries a repro block that
+//       parse_repro and run_repro turn back into the same violation at the
+//       same step.
 // Set MWLLSC_SIM_SOAK=1 for a longer churn soak (the CI fault-injection
 // job does, under ASan and TSan).
 #include <cstdint>
@@ -42,26 +44,30 @@ using Peek = Inspector<Jp>;
 // step covers crash-at-every-protocol-step without redundant placements.
 void exhaustive_with_crashes() {
   struct Shape {
-    std::uint32_t n, w, ops, preempts, crashes;
-    std::uint32_t busy_ops;  ///< if nonzero, p1's rounds (p0 runs `ops`)
+    std::uint32_t n, w;
+    std::vector<std::uint32_t> ops;  ///< every pid's rounds, or one per pid
+    std::uint32_t preempts, crashes;
   };
   const Shape shapes[] = {
-      {2, 2, 2, 2, 0, 0},  // the crash-free baseline of the next shape
-      {2, 2, 2, 2, 1, 0},  // one crash anywhere
-      {2, 2, 2, 1, 2, 0},  // both processes can die
-      {3, 2, 1, 1, 2, 0},  // three procs, two corpses, survivors finish
+      {2, 2, {2}, 2, 0},  // the crash-free baseline of the next shape
+      {2, 2, {2}, 2, 1},  // one crash anywhere
+      {2, 2, {2}, 1, 2},  // both processes can die
+      {3, 2, {1}, 1, 2},  // three procs, two corpses, survivors finish
       // A one-LL reader against a busy writer: the writer can doom the
       // reader's unannounced attempt, so crashes land inside the announced
-      // path too (a corpse's posted announce collecting donations).
-      {2, 2, 1, 2, 1, 6},
+      // path too (a corpse's posted announce collecting donations). At
+      // N=3 the probe window P = 4 exceeds N.
+      {2, 2, {1, 6}, 2, 1},
+      {3, 1, {1, 11, 0}, 2, 1},
   };
   constexpr std::size_t kShapes = sizeof(shapes) / sizeof(shapes[0]);
   std::uint64_t explored[kShapes] = {};
   for (std::size_t i = 0; i < kShapes; ++i) {
     const Shape& s = shapes[i];
+    const bool busy = s.ops.size() > 1;
     WorkloadConfig cfg;
-    cfg.ops_per_proc = s.ops;
-    if (s.busy_ops) cfg.ops_by_pid = {s.ops, s.busy_ops};
+    cfg.ops_per_proc = s.ops[0];
+    if (busy) cfg.ops_by_pid = s.ops;
     cfg.vl_percent = 50;
     cfg.seed = 3;
     const EnumerateResult r = enumerate_preemption_bounded<Jp, JpChecker>(
@@ -70,8 +76,10 @@ void exhaustive_with_crashes() {
       std::fprintf(stderr, "crash CHESS (n=%u w=%u p=%u c=%u) failed: %s\n",
                    s.n, s.w, s.preempts, s.crashes, r.error.c_str());
     }
-    std::printf("exhaustive N=%u W=%u ops=%u", s.n, s.w, s.ops);
-    if (s.busy_ops) std::printf(",%u", s.busy_ops);
+    std::printf("exhaustive N=%u W=%u ops=%u", s.n, s.w, s.ops[0]);
+    for (std::size_t k = 1; k < s.ops.size(); ++k) {
+      std::printf(",%u", s.ops[k]);
+    }
     std::printf(" <=%u preemptions %u crashes: %llu schedules, worst LL %u, "
                 "%llu slow LLs, %llu donations (summed)\n",
                 s.preempts, s.crashes,
@@ -87,7 +95,7 @@ void exhaustive_with_crashes() {
     // exist (crashes never claim every process before its first SC).
     CHECK(r.max_ll_steps > 0);
     CHECK(r.max_ll_steps <= Jp::ll_step_bound(s.n, s.w));
-    if (s.busy_ops) {
+    if (busy) {
       CHECK(r.stats.ll_slow > 0);
       CHECK(r.stats.helps_given > 0);
     }
@@ -227,11 +235,12 @@ void crash_victim_mid_announce() {
         Peek::donation_posted(obj, victim));
 }
 
-// (b4) The rebind_pid fix: p1's SC donates to p0, p1's holder retires
-// gracefully, pid 1 is reissued, and the new holder runs LL;SC. p1's slot
-// word still names the buffer it donated; the new holder must get the one
-// p1 took in exchange (Priv::spare), or two owners share a buffer.
-void rebind_after_helper_donation() {
+// (b4) The rebind_pid fix: p1's SC donates to p0, p1's holder leaves at an
+// op boundary (crash then reclaim models a retirement too), pid 1 is
+// reissued and the new holder runs LL;SC. p1's slot word still names the
+// buffer it donated; the new holder must get the one p1 took in exchange
+// (Priv::spare), or two owners share a buffer.
+void reissue_after_helper_donation() {
   SimWorkload<Jp> wl(2, 2, directed(6, 1));
   JpChecker chk(wl);
   const Jp& obj = wl.object();
@@ -240,7 +249,8 @@ void rebind_after_helper_donation() {
   // p1 finishes its SC and stops at the next op boundary: it retires.
   CHECK(step_until(wl, chk, 1, [&] { return wl.at_boundary(1); }));
   CHECK(obj.stats().helps_given == 1);
-  wl.rebind(1, chk);
+  wl.crash(1, chk);
+  wl.reclaim(1, chk);
   if (!chk.ok()) std::fprintf(stderr, "checker: %s\n", chk.error().c_str());
   CHECK(chk.ok());
   // The new holder's LL;SC, then everyone finishes.
@@ -281,19 +291,13 @@ void replay_roundtrip() {
   cfg.seed = 5;
   SimWorkload<Jp> wl(3, 3, cfg);
   JpChecker chk(wl);
-  ChurnConfig churn;
-  churn.sched_seed = 9;
-  churn.crash_period = 31;
-  churn.reclaim_delay = 17;
-  const RunResult first = run_crash_churn(wl, chk, churn);
+  const RunResult first = run_random(wl, chk, {9, 31, 17, 1});
   CHECK(first.ok);
   CHECK(wl.crashes_total() > 0);
-  const std::string schedule =
-      wl.schedule_string(/*max_chars=*/1u << 24);  // untruncated
 
   SimWorkload<Jp> wl2(3, 3, cfg);
   JpChecker chk2(wl2);
-  const RunResult again = run_replay(wl2, chk2, schedule);
+  const RunResult again = run_replay(wl2, chk2, wl.schedule_string());
   if (!again.ok) {
     std::fprintf(stderr, "replay failed: %s\n", again.error.c_str());
   }
@@ -301,15 +305,18 @@ void replay_roundtrip() {
   CHECK_EQ(again.total_steps, first.total_steps);
   CHECK_EQ(wl2.crashes_total(), wl.crashes_total());
   CHECK_EQ(wl2.crash_reclaims_total(), wl.crash_reclaims_total());
-  CHECK(wl2.schedule_string(1u << 24) == schedule);
+  CHECK(wl2.schedule_string() == wl.schedule_string());
 }
 
-// (d) Violations reproduce: a synthetic checker failure mid-run must come
-// back annotated with the scheduler seed and the exact schedule prefix.
+// (d) Violations reproduce: a synthetic checker failure mid-run comes back
+// with a repro block, and the parsed block, re-run under the same checker,
+// fails with the same message (so at the same schedule).
 struct FailAfter {
-  std::uint64_t budget;
+  std::uint64_t budget = 40;
   bool failed = false;
   std::string err = "synthetic failure (test)";
+  template <class W>
+  explicit FailAfter(const W&) {}
   template <class W>
   void on_step(const W&) {
     if (budget == 0) failed = true;
@@ -323,27 +330,41 @@ struct FailAfter {
   const std::string& error() const { return err; }
 };
 
+// Parses a violation's repro block and re-runs it under a fresh FailAfter:
+// the same message, and for a seeded run (whose block carries no schedule)
+// the same step count.
+void expect_repro(const RunResult& first) {
+  Repro rp;
+  std::string err;
+  CHECK(!first.ok);
+  CHECK(parse_repro(first.error, &rp, &err));
+  const RunResult again =
+      run_repro(rp, [](const auto& wl) { return FailAfter(wl); });
+  if (again.error != first.error) {
+    std::fprintf(stderr, "repro: %s\nagain: %s\n", first.error.c_str(),
+                 again.error.c_str());
+  }
+  CHECK(!again.ok);
+  CHECK(again.error == first.error);
+  if (rp.schedule.empty()) CHECK_EQ(again.total_steps, first.total_steps);
+}
+
 void violations_carry_repro() {
   WorkloadConfig cfg;
   cfg.ops_per_proc = 20;
-  {
-    SimWorkload<Jp> wl(2, 2, cfg);
-    FailAfter chk{40};
-    const RunResult r = run_random(wl, chk, 1234);
-    CHECK(!r.ok);
-    CHECK(r.error.find("sched-seed=1234") != std::string::npos);
-    CHECK(r.error.find("schedule=") != std::string::npos);
-  }
-  {
-    SimWorkload<Jp> wl(2, 2, cfg);
-    FailAfter chk{40};
-    ChurnConfig churn;
-    churn.sched_seed = 77;
-    const RunResult r = run_crash_churn(wl, chk, churn);
-    CHECK(!r.ok);
-    CHECK(r.error.find("churn-seed=77") != std::string::npos);
-    CHECK(r.error.find("schedule=") != std::string::npos);
-  }
+  SimWorkload<Am> random_wl(2, 2, cfg);
+  SimWorkload<Jp> churn_wl(3, 2, cfg);
+  SimWorkload<Retry> anti_wl(2, 2, cfg);
+  FailAfter random_chk(random_wl), churn_chk(churn_wl), anti_chk(anti_wl);
+  expect_repro(run_random(random_wl, random_chk, {1234}));
+  expect_repro(run_random(churn_wl, churn_chk, {77, 7, 5, 2}));
+  CHECK(churn_wl.crashes_total() > 1);
+  expect_repro(run_adversarial_anti(anti_wl, anti_chk, 1, 10, 10000));
+  // The first schedule the search explores crashes p0 at once.
+  const EnumerateResult e =
+      enumerate_preemption_bounded<Jp, FailAfter>(2, 2, cfg, 0, 1000, 1);
+  CHECK(e.error.find(" schedule=c0,1,") != std::string::npos);
+  expect_repro(e);
 }
 
 // Churn soak: randomized crash/reclaim cycling with the full checker.
@@ -362,12 +383,12 @@ void churn_soak() {
     cfg.seed = s;
     SimWorkload<Jp> wl(4, 3, cfg);
     JpChecker chk(wl);
-    ChurnConfig churn;
+    RandomConfig churn;
     churn.sched_seed = s * 7919;
     churn.crash_period = 41 + s;
     churn.reclaim_delay = 13 + s;
     churn.max_concurrent_crashes = (s % 2) ? 1 : 2;
-    const RunResult r = run_crash_churn(wl, chk, churn);
+    const RunResult r = run_random(wl, chk, churn);
     if (!r.ok) {
       std::fprintf(stderr, "churn soak seed %llu failed: %s\n",
                    static_cast<unsigned long long>(s), r.error.c_str());
@@ -387,7 +408,7 @@ int main() {
   crash_helper_after_donation();
   crash_winner_before_ring_swap();
   crash_victim_mid_announce();
-  rebind_after_helper_donation();
+  reissue_after_helper_donation();
   stale_helped_word_after_donating();
   replay_roundtrip();
   violations_carry_repro();
